@@ -17,8 +17,9 @@ Three sections:
 3. **Fig. 12 workload points** — end-to-end wall clock of the paper's
    speedup-figure workload set under three regimes:
 
-   * ``legacy_s`` — the seed configuration: heap engine
-     (``REPRO_SIM_CORE=legacy``), per-job generator processes, live
+   * ``legacy_s`` — the seed configuration: heap engine (substituted
+     for ``repro.gpu.device.Simulator``, the class every launch
+     builds), per-job generator processes, live
      kernel generators, and a *fresh workload object per repetition* so
      every per-workload cache is cold.  This is the code path the seed
      repository executed for every run.
@@ -42,12 +43,12 @@ Usage::
 import argparse
 import json
 import math
-import os
 import pathlib
 import platform
 import random
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -75,7 +76,8 @@ from repro.geometry import (  # noqa: E402
     spheres_soa,
     triangles_soa,
 )
-from repro.sim import CORE_ENV, scheduler_fingerprint  # noqa: E402
+import repro.gpu.device  # noqa: E402
+from repro.sim import scheduler_fingerprint  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 from repro.sim.engine_ref import HeapSimulator  # noqa: E402
 from repro.harness.runner import run_btree, run_nbody, run_rtnn  # noqa: E402
@@ -252,11 +254,9 @@ def bench_points(scale: str, reps: int) -> dict:
         legacy, cold, warm = [], [], []
         for _ in range(reps):
             fresh = make()  # construction is untimed; only the run counts
-            os.environ[CORE_ENV] = "legacy"
-            try:
+            with mock.patch.object(repro.gpu.device, "Simulator",
+                                   HeapSimulator):
                 legacy.append(_timed(lambda: run(fresh)))
-            finally:
-                os.environ[CORE_ENV] = "fast"
             fresh = make()
             cold.append(_timed(lambda: run(fresh)))
             warm.append(_timed(lambda: run(warm_wl)))
@@ -313,7 +313,6 @@ def main(argv=None) -> int:
                              "speedup geomean is at least X")
     args = parser.parse_args(argv)
 
-    os.environ[CORE_ENV] = "fast"
     micro = engine_microbench(n_procs=256,
                               events_per_proc=args.events // 256,
                               reps=args.reps)

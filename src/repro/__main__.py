@@ -1000,7 +1000,7 @@ def cmd_serve(args) -> int:
     stats = service.stats()
     print(f"[serve] {stats['queries_served']} queries in "
           f"{stats['batches_served']} batches on {args.platform} "
-          f"({stats['degraded_batches']} degraded)", file=sys.stderr)
+          f"({stats['degraded_batches']} failed)", file=sys.stderr)
     res = stats["resilience"]
     if res["mode"] != "off":
         print(f"[serve] resilience={res['mode']}: "
@@ -1011,7 +1011,7 @@ def cmd_serve(args) -> int:
     if res["degraded_reasons"]:
         detail = ", ".join(f"{reason}={count}" for reason, count
                            in res["degraded_reasons"].items())
-        print(f"[serve] degraded batches by reason: {detail}",
+        print(f"[serve] failed batches by reason: {detail}",
               file=sys.stderr)
     return 1 if failures else 0
 
@@ -1139,7 +1139,7 @@ def cmd_loadtest(args) -> int:
         if reasons:
             detail = ", ".join(f"{reason}={count}" for reason, count
                                in sorted(reasons.items()))
-            print(f"[loadtest] {platform} degraded batches by reason: "
+            print(f"[loadtest] {platform} failed batches by reason: "
                   f"{detail}", file=sys.stderr)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)

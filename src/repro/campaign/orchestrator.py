@@ -8,7 +8,7 @@ hosts join the very same directory with ``repro campaign worker --join``
 defined by records + cache entries, not by which processes it spawned.
 
 The **manifest** is the campaign's durable output: per-point axes,
-status, engine, wall time, peak RSS, cache hit/miss and lease-steal
+status, wall time, peak RSS, cache hit/miss and lease-steal
 flags, campaign-level totals, per-worker reports, and a
 ``repro.obs``-style metrics snapshot (``campaign.*`` namespace) built
 through the same :class:`~repro.obs.metrics.MetricsRegistry` the
@@ -187,7 +187,7 @@ def result_fingerprint(points: List[CampaignPoint],
     """Order-independent digest of every point's result bytes.
 
     Folds ``(spec key, cached payload SHA-256)`` pairs in key order.
-    Points with no cache entry (failed, quarantined-to-legacy) fold in
+    Points with no cache entry (failed, quarantined) fold in
     a miss marker, so two manifests agree iff they resolved the same
     points to the same bytes.
     """

@@ -10,8 +10,8 @@ id-derived order, and for each unresolved point either
   produced the result — write a ``cached`` record, no simulation),
 * **acquires the lease** and runs the point through a serial
   :class:`~repro.exec.service.ExecutionService` (which brings the memo,
-  the content-addressed cache write, guard quarantine with the one
-  legacy-engine retry, and the metrics sidecar along for free), or
+  the content-addressed cache write, guard quarantine with its
+  diagnostic bundle, and the metrics sidecar along for free), or
 * finds the lease held by someone else and moves on.
 
 When a full pass over the table resolves nothing and unresolved points
@@ -24,8 +24,8 @@ so the result is identical).
 
 Every resolution writes an atomic per-point **record** under
 ``<campaign_dir>/records/`` carrying the run's resource metrics: wall
-seconds, peak RSS, cache hit/miss, which engine produced the result,
-and whether the guard degraded it.  Records are the resumability
+seconds, peak RSS, cache hit/miss, and whether the guard quarantined
+it.  Records are the resumability
 ledger (a point with a record is never re-attempted) and the raw
 material :func:`repro.campaign.orchestrator.finalize` folds into the
 campaign manifest.
@@ -147,15 +147,13 @@ class CampaignWorker:
         return self._record_path(key).exists()
 
     def _write_record(self, point: CampaignPoint, status: str,
-                      wall_s: float, engine: str = "fast",
-                      error: Optional[str] = None,
+                      wall_s: float, error: Optional[str] = None,
                       stolen: bool = False) -> None:
         self._write_record_doc(point, {
             "key": point.key,
             "label": point.label,
             "axes": point.axes,
             "status": status,
-            "engine": engine,
             "wall_s": wall_s,
             "peak_rss_kb": peak_rss_kb(),
             "cache_hit": status == STATUS_CACHED,
@@ -182,22 +180,20 @@ class CampaignWorker:
         wall = time.monotonic() - started
         record = self.service.manifest.records.get(point.key)
         if error is not None:
-            status, engine = STATUS_FAILED, "fast"
-            if record is not None:
-                engine = record.engine
-            report.failed += 1
             report.errors.append(f"{point.label}: {error}")
-        else:
-            status = record.status if record is not None else STATUS_EXECUTED
-            engine = record.engine if record is not None else "fast"
-            if status == STATUS_CACHED:
-                report.cached += 1
-            elif status == STATUS_QUARANTINED:
+            if record is not None and record.status == STATUS_QUARANTINED:
+                status = STATUS_QUARANTINED
                 report.quarantined += 1
             else:
+                status = STATUS_FAILED
+                report.failed += 1
+        else:
+            status = record.status if record is not None else STATUS_EXECUTED
+            if status == STATUS_CACHED:
+                report.cached += 1
+            else:
                 report.executed += 1
-        self._write_record(point, status, wall, engine=engine, error=error,
-                           stolen=stolen)
+        self._write_record(point, status, wall, error=error, stolen=stolen)
         if stolen:
             report.stolen += 1
         if not self.quiet:

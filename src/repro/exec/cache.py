@@ -219,24 +219,19 @@ class ResultCache:
         self._atomic_write(meta, json.dumps(sidecar, indent=1).encode())
         self.put_metrics(spec, result)
 
-    def put_metrics(self, spec: RunSpec, result: Any,
-                    extra: Optional[Dict[str, Any]] = None) -> bool:
+    def put_metrics(self, spec: RunSpec, result: Any) -> bool:
         """Write the flat metrics sidecar for ``spec``; True if written.
 
-        Split out of :meth:`put` so *every* path that produces a result
-        can record its metrics — including guard-degraded runs, whose
-        legacy-engine result is deliberately never :meth:`put` (the
-        entry key folds the fast-engine fingerprint) but whose metrics
-        must not vanish from reports.  ``extra`` lands in the sidecar
-        document (e.g. ``{"engine": "legacy", "degraded": True}``).
+        Called by :meth:`put`, so every cached result has its metrics
+        next to it.  A guard-quarantined point produces no result and
+        so no sidecar; its diagnostic bundle lives under
+        ``quarantine/`` instead.
         """
         snapshot = getattr(getattr(result, "stats", None), "metrics", None)
         if not snapshot:
             return False
         doc = {"spec": spec.canonical(), "label": spec.label,
                "metrics": snapshot.as_dict()}
-        if extra:
-            doc.update(extra)
         path = self.metrics_path(spec.key)
         path.parent.mkdir(parents=True, exist_ok=True)
         self._atomic_write(path,

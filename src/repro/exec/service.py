@@ -27,16 +27,13 @@ Every batch also fills a :class:`RunManifest` — structured counters
 and resume tooling can assert on ("second invocation executed 0
 simulations").
 
-**Graceful degradation** (``repro.guard`` integration): a spec whose
-run aborts with a guard error — the watchdog detected a stall, or a
+**Guard quarantine** (``repro.guard`` integration): a spec whose run
+aborts with a guard error — the watchdog detected a stall, or a
 conservation invariant failed — is *quarantined*: its diagnostic
-bundle is persisted to ``<cache>/quarantine/<key>.json`` and the spec
-is retried once, in-process, on the legacy reference engine
-(``REPRO_SIM_CORE=legacy``).  A successful retry satisfies the point
-(memo only — the disk cache is keyed by the *fast* engine fingerprint
-and must never hold legacy results); a failed retry reports the point
-failed.  Either way the sweep completes: one poisoned config can no
-longer hang or kill a whole figure.
+bundle is persisted to ``<cache>/quarantine/<key>.json``, the manifest
+records it as quarantined, and requesting the point raises.  The rest
+of the sweep still completes: one poisoned config can no longer hang
+or kill a whole figure.
 """
 
 import json
@@ -77,33 +74,12 @@ def execute_payload(payload: str):
     return execute_spec(RunSpec.from_json(payload))
 
 
-def execute_payload_legacy(payload: str):
-    """Worker entry point forcing the legacy reference engine.
-
-    Used for the one in-process retry of a guard-quarantined spec: the
-    fast core tripped the watchdog or an invariant, so the point gets a
-    second opinion from the slower, simpler ``HeapSimulator`` path.
-    """
-    from repro.sim import CORE_ENV
-
-    previous = os.environ.get(CORE_ENV)
-    os.environ[CORE_ENV] = "legacy"
-    try:
-        return execute_payload(payload)
-    finally:
-        if previous is None:
-            os.environ.pop(CORE_ENV, None)
-        else:
-            os.environ[CORE_ENV] = previous
-
-
 # -- manifest ----------------------------------------------------------------------
 STATUS_EXECUTED = "executed"
 STATUS_CACHED = "cached"
 STATUS_FAILED = "failed"
-#: The fast engine tripped the guard; the point was satisfied (or at
-#: least re-attempted) on the legacy engine and its diagnostic bundle
-#: written to ``<cache>/quarantine/``.
+#: The run tripped the guard; its diagnostic bundle was written to
+#: ``<cache>/quarantine/`` and requesting the point raises.
 STATUS_QUARANTINED = "quarantined"
 
 
@@ -117,9 +93,6 @@ class RunRecord:
     attempts: int = 1
     seconds: float = 0.0
     error: Optional[str] = None
-    #: Which simulation core produced the result ("fast" unless a
-    #: guard quarantine forced the legacy retry).
-    engine: str = "fast"
 
 
 @dataclass
@@ -134,7 +107,7 @@ class RunManifest:
     def add(self, record: RunRecord) -> None:
         # First resolution wins (replay hits must not double-count),
         # except that a later successful retry overrides a failure.
-        # QUARANTINED is terminal: it already *is* the retry verdict.
+        # QUARANTINED is terminal: the guard verdict is deterministic.
         existing = self.records.get(record.key)
         if existing is None or existing.status == STATUS_FAILED:
             self.records[record.key] = record
@@ -373,45 +346,15 @@ class ExecutionService:
 
     def _quarantine(self, spec: RunSpec, error: str,
                     diagnostics: Optional[dict],
-                    attempts: int, seconds: float):
-        """The fast engine tripped the guard on ``spec``: write the
-        diagnostic bundle, retry once in-process on the legacy
-        reference engine, and record the verdict.
-
-        Returns the legacy result on success (memoized but *never*
-        written to the disk cache — its key folds the fast-engine
-        fingerprint), or None when the legacy retry failed too.
-        """
+                    attempts: int, seconds: float) -> None:
+        """The run tripped the guard on ``spec``: write the diagnostic
+        bundle and record the point as quarantined."""
         bundle_path = self._write_quarantine(spec, error, diagnostics)
         where = f"; bundle at {bundle_path}" if bundle_path else ""
-        print(f"[exec] guard quarantined {spec.label}: {error}{where}; "
-              f"retrying once on the legacy engine", file=sys.stderr)
-        started = time.monotonic()
-        try:
-            result = execute_payload_legacy(spec.to_json())
-        except Exception as exc:
-            self._record(spec, STATUS_FAILED, attempts=attempts + 1,
-                         seconds=seconds + time.monotonic() - started,
-                         error=f"fast engine aborted ({error}); legacy "
-                               f"retry also failed: "
-                               f"{type(exc).__name__}: {exc}",
-                         engine="legacy")
-            return None
-        self._memory[spec.key] = result
-        if self.cache is not None:
-            # The degraded result never enters the disk cache (its key
-            # folds the fast-engine fingerprint), but its metrics must
-            # still land: a sweep where some cells silently vanish from
-            # metrics reporting looks healthier than it is.
-            self.cache.put_metrics(spec, result,
-                                   extra={"engine": "legacy",
-                                          "degraded": True})
-        self._record(spec, STATUS_QUARANTINED, attempts=attempts + 1,
-                     seconds=seconds + time.monotonic() - started,
-                     error=f"fast engine aborted ({error}){where}; "
-                           f"result from legacy engine",
-                     engine="legacy")
-        return result
+        print(f"[exec] guard quarantined {spec.label}: {error}{where}",
+              file=sys.stderr)
+        self._record(spec, STATUS_QUARANTINED, attempts=attempts,
+                     seconds=seconds, error=f"{error}{where}")
 
     # -- single point ------------------------------------------------------------
     def run(self, spec: RunSpec):
@@ -432,12 +375,10 @@ class ExecutionService:
         try:
             result = execute_payload(spec.to_json())
         except GuardError as exc:
-            result = self._quarantine(
+            self._quarantine(
                 spec, f"{type(exc).__name__}: {exc}", exc.diagnostics,
                 attempts=1, seconds=time.monotonic() - started)
-            if result is None:
-                raise
-            return result
+            raise
         except Exception:
             self._record(spec, STATUS_FAILED,
                          seconds=time.monotonic() - started,
@@ -498,7 +439,7 @@ class ExecutionService:
                     failure = outcome.failure or {}
                     if failure.get("type") in GUARD_FAILURE_TYPES:
                         self._quarantine(
-                            spec, f"{failure['type']} on fast engine",
+                            spec, failure["type"],
                             failure.get("diagnostics"),
                             attempts=outcome.attempts,
                             seconds=outcome.seconds)

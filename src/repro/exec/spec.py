@@ -51,8 +51,8 @@ def code_fingerprint() -> str:
 
     A new repro release (or spec-schema bump) invalidates the cache
     wholesale — the engine is deterministic *per version*, not across
-    arbitrary code changes.  The scheduler fingerprint (engine-source
-    hash plus the selected core, fast vs legacy) is folded in as well:
+    arbitrary code changes.  The scheduler fingerprint (a hash of the
+    engine and timing-model sources) is folded in as well:
     results produced by different scheduler models must never satisfy
     each other's specs, even within one release.
     """

@@ -16,7 +16,7 @@ from repro.gpu.warp import Warp
 from repro.guard import Guard
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.obs import EMPTY_METRICS, TimeSeries, active_tracer, build_metrics
-from repro.sim import make_simulator
+from repro.sim import Simulator
 from repro.sim.stats import Counter
 
 KernelFn = Callable[[int, Any], Generator]
@@ -140,7 +140,7 @@ class GPU:
                 if stats is not None:
                     return stats
 
-        sim = make_simulator()  # fast core, or $REPRO_SIM_CORE=legacy
+        sim = Simulator()
         # The tracer must be on the simulator *before* the hierarchy,
         # SMs, and accelerators are built: they cache it at construction.
         sim.tracer = tracer
@@ -213,6 +213,11 @@ class GPU:
         if tracer is not None or max_events is not None or guard is not None:
             return None
         if not launch_replay_enabled():
+            return None
+        if Simulator.legacy_core:
+            # Tests substitute the heap-engine oracle for `Simulator`;
+            # replaying a recorded fast-engine launch to it would make
+            # the differential tests compare the fast engine with itself.
             return None
         return args.stream_cache
 

@@ -293,18 +293,14 @@ def launch_replay_enabled() -> bool:
     """May launches be served from records under the current environment?
 
     Replay must be gated off whenever a launch is *not* a pure function
-    of its arguments: the legacy engine (its heap scheduling is the
-    oracle being differentially tested), armed fault injection, and any
-    guard override from the environment (tests tighten guard thresholds
-    to force failures mid-run).
+    of its arguments: armed fault injection, and any guard override from
+    the environment (tests tighten guard thresholds to force failures
+    mid-run).  ``GPU._launch_cache`` also gates it off when the launch
+    would run on the heap-engine oracle.
     """
     if os.environ.get("REPRO_FAULTS"):
         return False
-    for key in os.environ:
-        if key.startswith("REPRO_GUARD"):
-            return False
-    from repro.sim import core_mode
-    return core_mode() != "legacy"
+    return not any(key.startswith("REPRO_GUARD") for key in os.environ)
 
 
 def replay_launch(cache: dict, key: tuple, args: Any):

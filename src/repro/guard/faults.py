@@ -32,10 +32,11 @@ Fault kinds (:data:`KINDS`):
     The memory system records a sector request whose response vanishes.
     Caught by the end-of-run request/response balance invariant.
 
-Faults on these seams only exist on the *batched fast path*, so the
-legacy engine (``REPRO_SIM_CORE=legacy``) is naturally immune — which
-is what makes ``repro.exec``'s quarantine-then-retry-on-legacy
-degradation a genuine recovery, and what the exec-layer tests exploit.
+These seams exist only on the batched driver, which is the only one a
+launch runs on.  The per-job generator path that the heap-engine
+oracle drives has none of them, so :func:`install_fault` is a no-op
+there.  When the guard catches a fault, ``repro.exec`` quarantines the
+point and ``repro.serve`` fails the batch.
 
 Entry points: :func:`install_fault` (one core, one plan),
 :func:`faulty_factory` (wrap an ``accelerator_factory``),
@@ -232,6 +233,9 @@ def _install_drop_wake(core, plan: FaultPlan, state: dict) -> None:
 
 def _install_stall(core, plan: FaultPlan, state: dict) -> None:
     orig = core._advance_job
+    # The vectorized drain finishes jobs without calling `_advance_job`,
+    # which would hide them from this wrapper.
+    core._vec_drain = False
 
     def advance(slot):
         if _match_job(plan, core, slot, state):
@@ -303,7 +307,7 @@ _INSTALLERS = {
 def install_fault(core, plan: FaultPlan) -> None:
     """Arm one fault on one accelerator core (instance-level wrap)."""
     if getattr(core, "_legacy", False):
-        # The seams being broken do not exist on the legacy per-job
+        # The seams being broken do not exist on the oracle's per-job
         # generator path; installing there would silently test nothing.
         return
     state = {"armed": True, "skip": plan.after, "locked": None}

@@ -12,25 +12,26 @@ Each job walks the same state machine:
    issue port — the expensive intersection-shader bounce that the
    baseline needs for procedural geometry and that TTA+ eliminates.
 
-On the fast engine the state machine is driven directly (the *batched*
-path): one launch event admits a whole submission, resource completion
-times are computed analytically, and all jobs waking at the same cycle
-advance from a single drain event — a per-(core, cycle) wake bucket
-instead of one heap event per query per step.  Under the legacy heap
-engine (``REPRO_SIM_CORE=legacy``) each job runs as its own generator
-process, exactly as the seed engine did.
+The state machine is driven directly (the *batched* path): one launch
+event admits a whole submission, resource completion times are computed
+analytically, and all jobs waking at the same cycle advance from a
+single drain event — a per-(core, cycle) wake bucket instead of one
+heap event per query per step.  On the heap-engine oracle
+(:class:`~repro.sim.engine_ref.HeapSimulator`, which the differential
+tests substitute for the runtime engine) each job instead runs as its
+own generator process, exactly as the seed engine did.
 
 The submission's signal fires when all of its jobs complete, resuming
 the launching warp.
 """
 
-import os
 from collections import deque
 from typing import Iterable, List
 
 import numpy as np
 
 from repro.errors import ConfigurationError, InvariantViolation
+from repro.guard.faults import install_env_faults
 from repro.rta.mem_scheduler import RTAMemScheduler
 from repro.rta.traversal import Step, TraversalJob
 from repro.rta.units import FixedFunctionBackend
@@ -169,13 +170,11 @@ class RTACore:
         self._jobs = _JobTable()
         self._wake: dict = {}  # cycle -> [slot, ...] awaiting that cycle
         self._pending: set = set()  # query ids launched but not completed
-        # Fault injectors wrap `_advance_job` per instance; the vectorized
-        # drain fast-path would route finishing jobs around that wrapper,
-        # so it is disabled whenever faults are armed.
-        self._vec_drain = not os.environ.get("REPRO_FAULTS")
-        if os.environ.get("REPRO_FAULTS"):
-            from repro.guard.faults import install_env_faults
-            install_env_faults(self)
+        # Vectorized drain fast-path.  It finishes jobs without calling
+        # `_advance_job`, so a fault injector that wraps that method
+        # turns it off.
+        self._vec_drain = True
+        install_env_faults(self)
 
     # -- submission interface (matches gpu.sm expectations) ---------------------
     def submit(self, now: float, jobs: Iterable[TraversalJob]):
@@ -405,7 +404,7 @@ class RTACore:
                                     warp_size)
         return done
 
-    # -- per-job processes (legacy heap engine) -----------------------------------
+    # -- per-job processes (heap-engine oracle) -----------------------------------
     def _start_job(self, job: TraversalJob, state: dict, done_signal,
                    jobs: List[TraversalJob]) -> None:
         self.sim.spawn(self._run_job(job, state, done_signal, jobs))

@@ -12,9 +12,9 @@ is timed under are *identical* to the batch-experiment path
 inside a small failure-handling stack, outside-in:
 
 1. **Circuit breaker** — a backend whose launches keep failing opens
-   its breaker; while open, batches are rejected (or degraded, see 4)
-   immediately instead of burning device time.  After a cooldown one
-   probe launch decides whether to close again.
+   its breaker; while open, batches fail immediately instead of
+   burning device time.  After a cooldown one probe launch decides
+   whether to close again.
 2. **Bounded retry with backoff** — a transient launch failure
    (:class:`~repro.errors.BackendLaunchError`; in this behavioral model
    only the ``launch_fail`` fault injector produces one) retries up to
@@ -25,21 +25,18 @@ inside a small failure-handling stack, outside-in:
    :func:`~repro.serve.resilience.check_batch_integrity` (one
    well-formed result per query, the guard conservation invariant at
    serving granularity).  A corrupt batch retries once; a repeat
-   offender raises under the ``strict`` policy and degrades otherwise.
-4. **Degradation to the legacy engine** — a launch that aborts with a
-   :class:`~repro.errors.GuardError` (watchdog stall / invariant break
-   on the fast engine) is retried once on the legacy reference engine
-   (``REPRO_SIM_CORE=legacy``), exactly like exec-service quarantine;
-   under the ``degrade``/``strict`` policies, exhausted retries and
-   open breakers take the same exit.  The batch completes with
-   ``engine="legacy"`` and ``notes["degraded_reason"]`` naming why
-   (``guard`` | ``launch_failure`` | ``breaker_open`` |
-   ``corrupt_result``); the service counts each reason under
+   offender raises under the ``strict`` policy and fails otherwise.
+4. **Failing loudly** — a launch that aborts with a
+   :class:`~repro.errors.GuardError` (watchdog stall / invariant
+   break), exhausted retries, an open breaker and a repeat corrupt
+   batch all fail the batch: ``engine="failed"``, the error text kept,
+   ``notes["degraded_reason"]`` naming why (``guard`` |
+   ``launch_failure`` | ``breaker_open`` | ``corrupt_result``), and
+   every query counted failed.  The service counts each reason under
    ``serve.degraded.*``.  One poisoned batch can therefore never wedge
    the serving loop.
 """
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -65,7 +62,7 @@ class BatchLaunch:
     #: of the batch, in submission order).
     results: Dict[int, Any]
     stats: Any
-    engine: str = "fast"        # "fast" | "legacy" | "failed"
+    engine: str = "fast"        # "fast" | "failed"
     error: Optional[str] = None
     notes: Dict[str, Any] = field(default_factory=dict)
 
@@ -124,10 +121,10 @@ class LaunchBackend:
         self._explicit_config = config
         self._configs: Dict[Tuple[int, int], GPUConfig] = {}
         self.launches = 0
+        #: Failed batches, in total and by reason (see :meth:`_fail`).
         self.degraded = 0
         self.degraded_reasons: Dict[str, int] = {}
         self.retries = 0
-        self.failed_batches = 0
         self.corrupt_detected = 0
 
     # -- config ----------------------------------------------------------------
@@ -201,11 +198,8 @@ class LaunchBackend:
         notes: Dict[str, Any] = {}
 
         if not self.breaker.allow(now):
-            if self.resilience.degrades:
-                return self._degrade(index, kernel, payloads, jobs_builder,
-                                     config, "breaker_open", notes=notes)
-            return self._fail(index, payloads, "circuit breaker open",
-                              notes)
+            return self._fail(index, payloads, "breaker_open",
+                              "circuit breaker open", notes)
 
         attempt = 0
         corrupt_retried = False
@@ -218,12 +212,10 @@ class LaunchBackend:
                 stats = gpu.launch(kernel, len(payloads), args=args,
                                    guard=self.guard)
             except GuardError as exc:
-                # The fast engine tripped the watchdog or an invariant;
-                # this is a model fault, not a backend fault — the
-                # breaker does not count it.
-                return self._degrade(
-                    index, kernel, payloads, jobs_builder, config, "guard",
-                    error=f"{type(exc).__name__}: {exc}", notes=notes)
+                # The watchdog or an invariant tripped: a model fault,
+                # not a backend fault — the breaker does not count it.
+                return self._fail(index, payloads, "guard",
+                                  f"{type(exc).__name__}: {exc}", notes)
             except BackendLaunchError as exc:
                 self.breaker.record_failure(now)
                 if attempt <= self.resilience.max_retries \
@@ -232,11 +224,8 @@ class LaunchBackend:
                     notes["backoff_s"] = notes.get("backoff_s", 0.0) \
                         + self.resilience.backoff_s(attempt)
                     continue
-                if self.resilience.degrades:
-                    return self._degrade(
-                        index, kernel, payloads, jobs_builder, config,
-                        "launch_failure", error=str(exc), notes=notes)
-                return self._fail(index, payloads, str(exc), notes)
+                return self._fail(index, payloads, "launch_failure",
+                                  str(exc), notes)
 
             self.breaker.record_success(now)
             results = dict(args.results)
@@ -268,50 +257,20 @@ class LaunchBackend:
                     diagnostics={"reason": "corrupt_result",
                                  "violation": violation,
                                  "n_queries": len(payloads)})
-            return self._degrade(index, kernel, payloads, jobs_builder,
-                                 config, "corrupt_result",
-                                 error=violation, notes=notes)
+            return self._fail(index, payloads, "corrupt_result", violation,
+                              notes)
 
-    def _degrade(self, index: ResidentIndex, kernel, payloads,
-                 jobs_builder, config, reason: str,
-                 error: Optional[str] = None,
-                 notes: Optional[Dict[str, Any]] = None) -> BatchLaunch:
-        """Second opinion from the reference engine, tagged with why."""
+    def _fail(self, index: ResidentIndex, payloads, reason: str,
+              error: str, notes: Dict[str, Any]) -> BatchLaunch:
+        """Give up on the batch: no results, the caller accounts every
+        query as failed (never silently dropped)."""
         self.degraded += 1
         self.degraded_reasons[reason] = \
             self.degraded_reasons.get(reason, 0) + 1
-        notes = dict(notes or {})
-        notes["degraded_reason"] = reason
-        args = index.batch_args(payloads, jobs_builder())
-        stats = self._legacy_retry(kernel, len(payloads), args, config)
-        return BatchLaunch(self.platform, index.query_class, len(payloads),
-                           stats.cycles, dict(args.results), stats,
-                           engine="legacy", error=error, notes=notes)
-
-    def _fail(self, index: ResidentIndex, payloads, error: str,
-              notes: Dict[str, Any]) -> BatchLaunch:
-        """Give up on the batch: no results, the caller accounts every
-        query as failed (never silently dropped)."""
-        self.failed_batches += 1
+        notes = dict(notes, degraded_reason=reason)
         return BatchLaunch(self.platform, index.query_class, len(payloads),
                            0.0, {}, None, engine="failed", error=error,
-                           notes=dict(notes))
-
-    def _legacy_retry(self, kernel, n_threads: int, args, config):
-        """Second opinion from the reference engine (immune to the
-        fast-path fault seams — see ``repro.guard.faults``)."""
-        from repro.sim import CORE_ENV
-
-        previous = os.environ.get(CORE_ENV)
-        os.environ[CORE_ENV] = "legacy"
-        try:
-            gpu = GPU(config, accelerator_factory=self._factory)
-            return gpu.launch(kernel, n_threads, args=args, guard=self.guard)
-        finally:
-            if previous is None:
-                os.environ.pop(CORE_ENV, None)
-            else:
-                os.environ[CORE_ENV] = previous
+                           notes=notes)
 
     # -- verification -------------------------------------------------------------
     def _verify(self, index: ResidentIndex, qids: Sequence[int],

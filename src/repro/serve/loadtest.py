@@ -397,11 +397,10 @@ def run_loadtest(platform: str,
         """Why this arrival must be shed right now (None = admit)."""
         if len(in_flight) + batcher.pending() >= resilience.queue_limit(cls):
             return "queue"
-        if breaker is not None and not resilience.degrades \
-                and breaker.opened_at is not None \
+        if breaker is not None and breaker.opened_at is not None \
                 and t - breaker.opened_at < breaker.cooldown_s:
-            # Breaker is hard-open and nothing will degrade: every
-            # admitted query is doomed, so refuse it up front.
+            # Breaker is hard-open: every admitted query is doomed, so
+            # refuse it up front.
             return "breaker"
         backlog = sum(max(0.0, free - t) for free in devices.free_at
                       if free != float("inf")) / n_shards

@@ -22,8 +22,8 @@ semantics for the work it *refuses*, not just the work it serves:
   sheds bulk range scans first.
 * **Circuit breaker + bounded retry** (:class:`CircuitBreaker`) —
   transient launch failures retry with exponential backoff; repeated
-  failures open the breaker so doomed batches fail (or degrade to the
-  legacy engine) immediately instead of burning device time.
+  failures open the breaker so doomed batches fail immediately instead
+  of burning device time.
 * **Hedged re-dispatch** — a launch stranded on a dead device shard is
   re-issued on a healthy one after ``hedge_timeout_s``.
 * **Result integrity** (:func:`check_batch_integrity`) — every query
@@ -32,11 +32,12 @@ semantics for the work it *refuses*, not just the work it serves:
 
 Policy selection: ``REPRO_RESILIENCE`` = ``off`` (default; the serving
 path is stat-for-stat identical to the pre-resilience stack) | ``shed``
-(admission control + deadlines) | ``degrade`` (shed + legacy-engine
-degradation on breaker exhaustion + hedged re-dispatch) | ``strict``
-(degrade + per-batch integrity verification; integrity *detection*
-stays on in every mode, strict escalates a repeat offender to an
-:class:`~repro.errors.InvariantViolation`).
+(admission control + deadlines) | ``degrade`` (shed + hedged
+re-dispatch) | ``strict`` (degrade + per-batch integrity verification;
+integrity *detection* stays on in every mode, strict escalates a
+repeat offender to an :class:`~repro.errors.InvariantViolation`).  In
+every mode a batch that cannot be served fails, with every query
+counted failed.
 
 Every mechanism is provable under the ``$REPRO_FAULTS`` serve-path
 injectors (``repro.guard.faults.SERVE_KINDS``); MODEL.md §12 has the
@@ -145,12 +146,6 @@ class ResilienceConfig:
     def sheds(self) -> bool:
         """Admission control + deadline semantics are on."""
         return self.mode in ("shed", "degrade", "strict")
-
-    @property
-    def degrades(self) -> bool:
-        """Exhausted retries / open breaker fall back to the legacy
-        engine instead of failing the batch."""
-        return self.mode in ("degrade", "strict")
 
     @property
     def hedges(self) -> bool:

@@ -52,7 +52,7 @@ class QueryResponse:
     batch_size: int
     cycles: float               # simulated cycles of the batch's launch
     sim_seconds: float          # cycles through the service clock
-    engine: str                 # "fast" | "legacy" (guard degradation)
+    engine: str                 # "fast" (a failed batch raises instead)
     latency_s: float            # wall-clock submit -> resolve
     error: Optional[str] = None
 

@@ -3,11 +3,12 @@
 Every timing model in this package (SIMT cores, caches, DRAM, RTA/TTA/TTA+
 pipelines) is built on the primitives exported here:
 
-* :class:`~repro.sim.engine.Simulator` — the fast integer-cycle
-  calendar-queue engine (the default core).
+* :class:`~repro.sim.engine.Simulator` — the integer-cycle
+  calendar-queue engine, the only engine a launch runs on.
 * :class:`~repro.sim.engine_ref.HeapSimulator` — the seed heap engine,
-  kept as a reference/baseline (``REPRO_SIM_CORE=legacy``).
-* :func:`make_simulator` — engine factory honouring ``REPRO_SIM_CORE``.
+  kept as the differential oracle that tests and
+  ``benchmarks/bench_perf_core.py`` substitute for
+  ``repro.gpu.device.Simulator``.
 * :class:`~repro.sim.resources.PipelinedUnit` /
   :class:`~repro.sim.resources.Timeline` /
   :class:`~repro.sim.resources.ThroughputResource` — contended resources
@@ -17,10 +18,8 @@ pipelines) is built on the primitives exported here:
 """
 
 import hashlib
-import os
 import pathlib
 
-from repro.errors import ConfigurationError
 from repro.sim.engine import Signal, Simulator, ceil_cycles
 from repro.sim.engine_ref import HeapSimulator
 from repro.sim.resources import PipelinedUnit, ThroughputResource, Timeline
@@ -37,41 +36,17 @@ __all__ = [
     "OccupancyTracker",
     "LatencySampler",
     "ceil_cycles",
-    "core_mode",
-    "make_simulator",
     "scheduler_fingerprint",
 ]
 
-#: Engine selector environment variable: "fast" (default) or "legacy".
-CORE_ENV = "REPRO_SIM_CORE"
-
-_CORE_MODES = ("fast", "legacy")
-
-
-def core_mode() -> str:
-    """The active engine, from ``$REPRO_SIM_CORE`` (default: fast)."""
-    mode = os.environ.get(CORE_ENV, "fast")
-    if mode not in _CORE_MODES:
-        raise ConfigurationError(
-            f"unknown {CORE_ENV}={mode!r}; pick from {_CORE_MODES}"
-        )
-    return mode
-
-
-def make_simulator():
-    """A fresh simulator of the configured engine kind."""
-    if core_mode() == "legacy":
-        return HeapSimulator()
-    return Simulator()
-
-
-#: Source files folded into the scheduler fingerprint: the engines
-#: themselves plus the packages whose code decides what every simulated
-#: cycle computes — the vectorized geometry kernels and the batched
+#: Source files folded into the scheduler fingerprint: the engine itself
+#: plus the packages whose code decides what every simulated cycle
+#: computes — the vectorized geometry kernels and the batched
 #: accelerator driver.  An edit to any of these must invalidate cached
-#: results.
+#: results.  The heap-engine oracle (``engine_ref.py``) is left out: no
+#: runtime result depends on it.
 _MODEL_SOURCES = (
-    ("sim", ("engine.py", "engine_ref.py")),
+    ("sim", ("engine.py",)),
     ("geometry", None),  # None = every *.py in the package
     ("rta", None),
 )
@@ -103,9 +78,8 @@ _ENGINE_HASH = _model_source_hash()
 def scheduler_fingerprint() -> str:
     """Scheduler-model identity folded into exec-cache keys.
 
-    Combines a hash of the engine, geometry, and accelerator-driver
-    sources with the active core mode, so results computed by one
-    engine (or an older model revision) can never satisfy a spec
-    executed under another.
+    A hash of the engine, geometry, and accelerator-driver sources, so
+    results computed by an older model revision can never satisfy a
+    spec executed under another.
     """
-    return f"{_ENGINE_HASH}.{core_mode()}"
+    return _ENGINE_HASH

@@ -22,9 +22,9 @@ Processes are Python generators that yield either
   fired value is sent back into the generator.
 
 The seed heap engine is preserved verbatim as
-:class:`repro.sim.engine_ref.HeapSimulator` (select it with
-``REPRO_SIM_CORE=legacy``); ``tests/test_engine_equivalence.py`` checks
-both engines produce the same ``(time, seq)`` event order.
+:class:`repro.sim.engine_ref.HeapSimulator`, the test oracle;
+``tests/test_engine_equivalence.py`` checks both engines produce the
+same ``(time, seq)`` event order.
 """
 
 import heapq

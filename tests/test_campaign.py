@@ -260,7 +260,6 @@ class TestCampaignRuns:
         assert len(manifest["points"]) == 4
         for record in manifest["points"]:
             assert record["status"] == "executed"
-            assert record["engine"] == "fast"
             assert record["wall_s"] >= 0.0
             assert record["peak_rss_kb"] > 0.0
             assert not record["cache_hit"]

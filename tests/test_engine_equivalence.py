@@ -5,22 +5,24 @@ heap engine's semantics exactly: same event interleaving (the heap's
 ``(time, seq)`` order), same signal wake-ups, same final clock.  These
 tests interpret randomized process programs — generated as pure data
 from seeded RNGs, no external property-testing dependency — on both
-engines and require identical execution traces.
+engines and require identical execution traces.  Whole-launch tests
+reach the heap engine through the ``heap_engine`` fixture
+(``tests/conftest.py``), which substitutes it for the simulator a
+launch builds.
 """
 
-import os
+import contextlib
 
 import pytest
 
 import random
 
+import repro.gpu.device
 from repro.errors import SimulationError
 from repro.sim import (
     HeapSimulator,
     Simulator,
     ceil_cycles,
-    core_mode,
-    make_simulator,
     scheduler_fingerprint,
 )
 
@@ -121,23 +123,24 @@ class TestEndToEndEquivalence:
         return make_btree_workload("btree", n_keys=256, n_queries=128,
                                    seed=11)
 
-    def _run(self, wl, platform, mode, monkeypatch):
+    def _run(self, wl, platform):
         from repro.harness.runner import run_btree, scaled_config_for
-        monkeypatch.setenv("REPRO_SIM_CORE", mode)
         cfg = scaled_config_for(wl.image.size_bytes)
         return run_btree(wl, platform, config=cfg)
 
-    def test_baseline_gpu_cycles_identical(self, btree_wl, monkeypatch):
-        fast = self._run(btree_wl, "gpu", "fast", monkeypatch)
-        legacy = self._run(btree_wl, "gpu", "legacy", monkeypatch)
+    def test_baseline_gpu_cycles_identical(self, btree_wl, heap_engine):
+        fast = self._run(btree_wl, "gpu")
+        with heap_engine():
+            legacy = self._run(btree_wl, "gpu")
         # The SM path is shared generator code, quantized identically on
         # both engines: the clocks must agree exactly.
         assert float(fast.stats.cycles) == float(legacy.stats.cycles)
         assert fast.stats.memory == legacy.stats.memory
 
-    def test_tta_cycles_close(self, btree_wl, monkeypatch):
-        fast = self._run(btree_wl, "tta", "fast", monkeypatch)
-        legacy = self._run(btree_wl, "tta", "legacy", monkeypatch)
+    def test_tta_cycles_close(self, btree_wl, heap_engine):
+        fast = self._run(btree_wl, "tta")
+        with heap_engine():
+            legacy = self._run(btree_wl, "tta")
         # The batched driver resumes jobs on cycle boundaries (the legacy
         # engine resumed them at exact float times), so sub-cycle drain
         # ordering may differ — but the analytic model is the same, and
@@ -163,22 +166,23 @@ class TestMetricsEquivalence:
         return make_btree_workload("btree", n_keys=256, n_queries=128,
                                    seed=11)
 
-    def _run(self, wl, platform, mode, monkeypatch):
+    def _run(self, wl, platform):
         from repro.harness.runner import run_btree, scaled_config_for
-        monkeypatch.setenv("REPRO_SIM_CORE", mode)
         cfg = scaled_config_for(wl.image.size_bytes)
         return run_btree(wl, platform, config=cfg)
 
-    def test_baseline_gpu_metrics_identical(self, btree_wl, monkeypatch):
-        fast = self._run(btree_wl, "gpu", "fast", monkeypatch).metrics
-        legacy = self._run(btree_wl, "gpu", "legacy", monkeypatch).metrics
+    def test_baseline_gpu_metrics_identical(self, btree_wl, heap_engine):
+        fast = self._run(btree_wl, "gpu").metrics
+        with heap_engine():
+            legacy = self._run(btree_wl, "gpu").metrics
         assert set(fast.names()) == set(legacy.names())
         for name in fast.names():
             assert fast.get(name) == legacy.get(name), name
 
-    def test_tta_metrics_equivalent(self, btree_wl, monkeypatch):
-        fast = self._run(btree_wl, "tta", "fast", monkeypatch).metrics
-        legacy = self._run(btree_wl, "tta", "legacy", monkeypatch).metrics
+    def test_tta_metrics_equivalent(self, btree_wl, heap_engine):
+        fast = self._run(btree_wl, "tta").metrics
+        with heap_engine():
+            legacy = self._run(btree_wl, "tta").metrics
         assert set(fast.names()) == set(legacy.names())
         # Count metrics are engine-independent (same traversal steps,
         # same ops); clocks and rates agree like the cycle counts do.
@@ -199,11 +203,10 @@ class TestDegenerateEquivalence:
     cleanly with identical functional results and matching stats."""
 
     @staticmethod
-    def _launch_jobs(jobs, mode, monkeypatch, guard=None):
+    def _launch_jobs(jobs, guard=None):
         from repro.gpu import GPU, AccelCall, GPUConfig
         from repro.rta.rta import make_rta_factory
 
-        monkeypatch.setenv("REPRO_SIM_CORE", mode)
         out = {}
 
         def kernel(tid, args):
@@ -229,11 +232,12 @@ class TestDegenerateEquivalence:
                 for i in range(32)]
 
     @pytest.mark.parametrize("batch", ["duplicates", "all_miss"])
-    def test_same_results_and_stats(self, batch, monkeypatch):
+    def test_same_results_and_stats(self, batch, heap_engine):
         jobs = (self._duplicate_jobs() if batch == "duplicates"
                 else self._all_miss_jobs())
-        fast, fast_out = self._launch_jobs(jobs, "fast", monkeypatch)
-        legacy, legacy_out = self._launch_jobs(jobs, "legacy", monkeypatch)
+        fast, fast_out = self._launch_jobs(jobs)
+        with heap_engine():
+            legacy, legacy_out = self._launch_jobs(jobs)
         assert fast_out == legacy_out
         assert fast.accel_stats["jobs_completed"] == \
             legacy.accel_stats["jobs_completed"] == len(jobs)
@@ -242,7 +246,7 @@ class TestDegenerateEquivalence:
         assert float(fast.cycles) == pytest.approx(float(legacy.cycles),
                                                    rel=0.05)
 
-    def test_max_cycles_aborts_on_both_engines(self, monkeypatch):
+    def test_max_cycles_aborts_on_both_engines(self, heap_engine):
         from repro.errors import SimulationStallError
         from repro.guard import Guard, GuardConfig
         from repro.rta.traversal import Step, TraversalJob
@@ -250,9 +254,9 @@ class TestDegenerateEquivalence:
         jobs = [TraversalJob(i, [Step(64 * s, 64, "box")
                                  for s in range(50)], i)
                 for i in range(32)]
-        for mode in ("fast", "legacy"):
-            with pytest.raises(SimulationStallError) as err:
-                self._launch_jobs(jobs, mode, monkeypatch,
+        for engine in (contextlib.nullcontext, heap_engine):
+            with engine(), pytest.raises(SimulationStallError) as err:
+                self._launch_jobs(jobs,
                                   guard=Guard(GuardConfig(max_cycles=100)))
             assert err.value.diagnostics["reason"] == "cycle-budget"
 
@@ -333,32 +337,15 @@ class TestFastEngineAPI:
 
 
 class TestEngineSelection:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
-        assert core_mode() == "fast"
-        assert isinstance(make_simulator(), Simulator)
+    def test_default_is_fast(self):
+        # The only engine a launch builds at runtime.
+        assert repro.gpu.device.Simulator is Simulator
 
-    def test_legacy_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CORE", "legacy")
-        assert core_mode() == "legacy"
-        assert isinstance(make_simulator(), HeapSimulator)
+    def test_legacy_selection(self, heap_engine):
+        with heap_engine():
+            assert repro.gpu.device.Simulator is HeapSimulator
+        assert repro.gpu.device.Simulator is Simulator
 
-    def test_invalid_selection_rejected(self, monkeypatch):
-        from repro.errors import ConfigurationError
-        monkeypatch.setenv("REPRO_SIM_CORE", "turbo")
-        with pytest.raises(ConfigurationError):
-            core_mode()
-
-    def test_fingerprint_reflects_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
-        fast_fp = scheduler_fingerprint()
-        monkeypatch.setenv("REPRO_SIM_CORE", "legacy")
-        legacy_fp = scheduler_fingerprint()
-        assert fast_fp.endswith(".fast")
-        assert legacy_fp.endswith(".legacy")
-        assert fast_fp.split(".")[0] == legacy_fp.split(".")[0]
-
-    def test_fingerprint_in_cache_key(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    def test_fingerprint_in_cache_key(self):
         from repro.exec.spec import code_fingerprint
         assert scheduler_fingerprint() in code_fingerprint()

@@ -3,9 +3,9 @@
 The fault-detection tests are the guard's reason to exist: each fault
 class from :mod:`repro.guard.faults` is injected into a real TTA run
 and must be caught with a diagnostic bundle naming the stuck unit and
-job.  The exec-layer tests then check the degradation story end to
-end — a poisoned spec is quarantined and satisfied by the legacy
-engine instead of killing (or hanging) the sweep.
+job.  The exec-layer tests then check the quarantine story end to end
+— a poisoned spec is quarantined with its diagnostic bundle and raises
+when requested, while the rest of the sweep completes.
 """
 
 import json
@@ -154,14 +154,6 @@ def _faulted_launch(plan, config, n_queries=64, **workload_kw):
 class TestFaultDetection:
     CONFIG = GuardConfig(mode="on", check_events=2_000, stall_events=10_000)
 
-    @pytest.fixture(autouse=True)
-    def _fast_core(self, monkeypatch):
-        # The injectors target the fast batched driver and deliberately
-        # no-op on legacy cores (that is what makes the exec service's
-        # legacy retry a genuine recovery path), so pin the engine: the
-        # suite must also pass under REPRO_SIM_CORE=legacy.
-        monkeypatch.setenv("REPRO_SIM_CORE", "fast")
-
     def test_stall_caught_by_watchdog(self):
         with pytest.raises(SimulationStallError) as err:
             _faulted_launch(FaultPlan("stall", query_id=3), self.CONFIG)
@@ -298,15 +290,8 @@ class TestPoolRestartLimit:
         assert outcomes[0].failure["diagnostics"] == {"reason": "test"}
 
 
-# -- exec quarantine + legacy retry -------------------------------------------------
+# -- exec quarantine ----------------------------------------------------------------
 class TestExecQuarantine:
-    @pytest.fixture(autouse=True)
-    def _fast_core(self, monkeypatch):
-        # Quarantine is exercised by a fault that only arms on the fast
-        # engine (legacy retry must genuinely recover); pin the engine
-        # so the test also passes under REPRO_SIM_CORE=legacy.
-        monkeypatch.setenv("REPRO_SIM_CORE", "fast")
-
     def test_stalled_spec_is_quarantined_and_sweep_completes(
             self, tmp_path, monkeypatch):
         from repro.exec.cache import ResultCache
@@ -341,7 +326,6 @@ class TestExecQuarantine:
         assert records[specs[2].key].status == STATUS_EXECUTED
         poisoned = records[specs[1].key]
         assert poisoned.status == STATUS_QUARANTINED
-        assert poisoned.engine == "legacy"
         assert "SimulationStallError" in poisoned.error
         assert service.manifest.quarantined == 1
 
@@ -353,11 +337,15 @@ class TestExecQuarantine:
         assert diag["reason"] == "no-progress"
         assert any(40 in core["stuck_jobs"] for core in diag["cores"])
 
-        # The legacy result satisfies the point in memory but is never
-        # written to the fast-engine-keyed disk cache.
-        assert service.run(specs[1]).cycles > 0
+        # Requesting the quarantined point raises; it never enters the
+        # disk cache, and the healthy points are cached.
+        with pytest.raises(SimulationStallError):
+            service.run(specs[1])
+        assert service.manifest.records[specs[1].key].status \
+            == STATUS_QUARANTINED
         assert not cache.contains(specs[1])
         assert cache.contains(specs[0])
+        assert cache.contains(specs[2])
 
     def test_run_single_point_quarantines(self, tmp_path, monkeypatch):
         from repro.exec.cache import ResultCache
@@ -373,44 +361,13 @@ class TestExecQuarantine:
                                  "n_queries": 32, "seed": 5},
                        platform="tta")
         service = ExecutionService(jobs=1, cache=ResultCache(tmp_path))
-        result = service.run(spec)
-        assert result.cycles > 0
+        with pytest.raises(SimulationStallError):
+            service.run(spec)
         record = service.manifest.records[spec.key]
         assert record.status == STATUS_QUARANTINED
-        assert record.engine == "legacy"
-
-    def test_degraded_run_still_writes_metrics_sidecar(
-            self, tmp_path, monkeypatch):
-        """A guard-quarantined point resolved by the legacy engine must
-        not vanish from metrics reporting: the per-run metrics sidecar
-        is written on the degraded path too, tagged as such."""
-        from repro.exec.cache import ResultCache
-        from repro.exec.service import ExecutionService, STATUS_QUARANTINED
-        from repro.exec.spec import RunSpec
-
-        monkeypatch.setenv("REPRO_FAULTS", "stall:query=3")
-        monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
-        monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
-
-        spec = RunSpec(kind="btree",
-                       workload={"variant": "btree", "n_keys": 512,
-                                 "n_queries": 32, "seed": 5},
-                       platform="tta")
-        cache = ResultCache(tmp_path)
-        service = ExecutionService(jobs=1, cache=cache)
-        service.run(spec)
-        assert service.manifest.records[spec.key].status \
-            == STATUS_QUARANTINED
-
-        sidecar = cache.metrics_path(spec.key)
-        assert sidecar.exists()
-        doc = json.loads(sidecar.read_text())
-        assert doc["engine"] == "legacy"
-        assert doc["degraded"] is True
-        assert doc["metrics"]  # a real snapshot, not an empty shell
-        # ... while the result itself still never enters the
-        # fast-engine-keyed disk cache.
-        assert not cache.contains(spec)
+        assert "SimulationStallError" in record.error
+        assert (tmp_path / "quarantine" / f"{spec.key}.json").exists()
+        assert not service.cache.contains(spec)
 
 
 # -- guard stays out of the model --------------------------------------------------

@@ -10,13 +10,16 @@ Three families:
   recycles its slots.
 * **Launch-level replay** — repeat launches of a marked kernel over an
   identical workload return byte-identical stats, and replay stays off
-  under every environment where a launch is not a pure function of its
-  arguments (legacy engine, armed faults, guard overrides).
+  wherever a launch is not a pure function of its arguments (armed
+  faults, guard overrides), and for launches on the heap-engine oracle.
 """
 
+import os
 import pathlib
 import shutil
 import tracemalloc
+
+import pytest
 
 from repro.exec.cache import build_fingerprint
 from repro.gpu import GPUConfig
@@ -28,7 +31,8 @@ from repro.kernels.radius_search import radius_query, radius_query_scalar
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.rta import Step, TraversalJob
 from repro.rta.rta import make_rta_factory
-from repro.sim import _model_source_hash, make_simulator, scheduler_fingerprint
+from repro.sim import (HeapSimulator, Simulator, _model_source_hash,
+                       scheduler_fingerprint)
 from repro.workloads import make_btree_workload, make_rtnn_workload
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -83,7 +87,7 @@ _N_JOBS = 4096
 
 
 def _make_core():
-    sim = make_simulator()
+    sim = Simulator()
     hierarchy = MemoryHierarchy(sim, _CFG)
     sm = SM(sim, 0, _CFG, hierarchy, KernelStats(), make_rta_factory(tta=True))
     return sim, sm.accelerator
@@ -131,6 +135,14 @@ class TestAllocationFreeDriver:
 
 # -- launch-level replay ------------------------------------------------------
 class TestLaunchReplay:
+    @pytest.fixture(autouse=True)
+    def _default_environment(self, monkeypatch):
+        # Replay is specified for the default environment; the strict CI
+        # leg exports REPRO_GUARD, which (rightly) turns replay off.
+        for key in list(os.environ):
+            if key.startswith("REPRO_GUARD") or key == "REPRO_FAULTS":
+                monkeypatch.delenv(key)
+
     def test_repeat_tta_launch_is_identical_and_recorded(self):
         wl = make_btree_workload("btree", n_keys=512, n_queries=128, seed=9)
         first = run_btree(wl, "tta")
@@ -155,9 +167,25 @@ class TestLaunchReplay:
     def test_enabled_by_default(self):
         assert launch_replay_enabled()
 
-    def test_disabled_under_legacy_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CORE", "legacy")
-        assert not launch_replay_enabled()
+    def test_disabled_under_legacy_engine(self, heap_engine, monkeypatch):
+        """A launch recorded on the fast engine must be simulated, not
+        replayed, on the heap-engine oracle — otherwise the differential
+        tests would compare the fast engine with itself."""
+        wl = make_btree_workload("btree", n_keys=512, n_queries=128, seed=9)
+        run_btree(wl, "tta")
+        assert any(isinstance(key, tuple) and key and key[0] == "__launch__"
+                   for key in wl._stream_cache)
+        heap_runs = []
+        heap_run = HeapSimulator.run
+
+        def spy(sim, *args, **kwargs):
+            heap_runs.append(sim)
+            return heap_run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(HeapSimulator, "run", spy)
+        with heap_engine():
+            run_btree(wl, "tta")
+        assert len(heap_runs) == 1
 
     def test_disabled_under_armed_faults(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "stall:q3")

@@ -59,10 +59,10 @@ def assert_conserved(report):
 # -- config & primitives ------------------------------------------------------------
 class TestResilienceConfig:
     def test_mode_flags(self):
-        assert not OFF.active and not OFF.sheds and not OFF.degrades
-        assert SHED.sheds and not SHED.degrades and not SHED.hedges
-        assert DEGRADE.sheds and DEGRADE.degrades and DEGRADE.hedges
-        assert STRICT.strict and STRICT.degrades
+        assert not OFF.active and not OFF.sheds and not OFF.hedges
+        assert SHED.sheds and not SHED.hedges
+        assert DEGRADE.sheds and DEGRADE.hedges and not DEGRADE.strict
+        assert STRICT.strict and STRICT.hedges
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
@@ -256,20 +256,21 @@ class TestBackendRetry:
         launch = backend.launch(point_index, [1, 2, 3])
         assert launch.failed and launch.engine == "failed"
         assert launch.results == {}
-        assert backend.failed_batches == 1
+        assert backend.degraded == 1
         assert backend.retries == OFF.max_retries
 
     def test_exhausted_retries_degrade_under_policy(self, point_index):
+        """The ``degrade`` policy has no fallback engine: exhausted
+        retries fail the batch, counted as degraded by reason."""
         backend = LaunchBackend(
             "tta", resilience=DEGRADE,
             faults=faults(ServeFaultPlan("launch_fail", times=0)))
         launch = backend.launch(point_index, [1, 2, 3])
-        assert launch.engine == "legacy" and not launch.failed
+        assert launch.failed and launch.engine == "failed"
+        assert launch.results == {}
+        assert "injected launch failure" in launch.error
         assert launch.notes["degraded_reason"] == "launch_failure"
         assert backend.degraded_reasons == {"launch_failure": 1}
-        wl = point_index.workload
-        for slot, qid in enumerate([1, 2, 3]):
-            assert launch.results[slot] == wl.golden[qid]
 
 
 class TestBackendBreaker:
@@ -290,16 +291,21 @@ class TestBackendBreaker:
         assert backend.faults.fired["launch_fail"] == 2   # no attempt made
 
     def test_open_breaker_degrades_under_policy(self, point_index):
+        """Under ``degrade`` an open breaker fails batches outright,
+        counted as degraded with reason ``breaker_open``."""
         cfg = ResilienceConfig(mode="degrade", max_retries=0,
                                breaker_threshold=1, breaker_cooldown_s=10.0)
         backend = LaunchBackend(
             "tta", resilience=cfg,
             faults=faults(ServeFaultPlan("launch_fail", times=1)))
         first = backend.launch(point_index, [1], now=0.0)
-        assert first.engine == "legacy"          # retryless: degrade
+        assert first.failed                      # retryless: fail
+        assert first.notes["degraded_reason"] == "launch_failure"
         second = backend.launch(point_index, [2], now=1.0)
-        assert second.engine == "legacy"
+        assert second.failed and "breaker" in second.error
         assert second.notes["degraded_reason"] == "breaker_open"
+        assert backend.degraded_reasons == {"launch_failure": 1,
+                                            "breaker_open": 1}
 
     def test_half_open_probe_recovers(self, point_index):
         cfg = ResilienceConfig(mode="off", max_retries=0,
@@ -325,13 +331,14 @@ class TestBackendIntegrity:
         assert check_batch_integrity(launch.results, 3) is None
 
     def test_repeat_offender_degrades_even_when_off(self, point_index):
-        """Integrity is not a policy knob: detection and the legacy
-        fallback run in every mode; only *escalation* is strict-gated."""
+        """Integrity is not a policy knob: detection and failing the
+        repeat offender happen in every mode; only *escalation* is
+        strict-gated."""
         backend = LaunchBackend(
             "tta", resilience=OFF,
             faults=faults(ServeFaultPlan("corrupt_result", times=0)))
         launch = backend.launch(point_index, [1, 2, 3])
-        assert launch.engine == "legacy"
+        assert launch.failed and launch.engine == "failed"
         assert launch.notes["degraded_reason"] == "corrupt_result"
         assert backend.corrupt_detected == 2
 
@@ -340,10 +347,11 @@ class TestBackendIntegrity:
             "tta", resilience=DEGRADE,
             faults=faults(ServeFaultPlan("corrupt_result", times=0)))
         launch = backend.launch(point_index, [1, 2, 3])
-        assert launch.engine == "legacy"
+        assert launch.failed and launch.engine == "failed"
         assert launch.notes["degraded_reason"] == "corrupt_result"
-        # The legacy rerun produced sound results.
-        assert check_batch_integrity(launch.results, 3) is None
+        # No corrupt result is ever handed back.
+        assert launch.results == {}
+        assert "slots missing" in launch.error
 
     def test_repeat_offender_raises_under_strict(self, point_index):
         backend = LaunchBackend(
@@ -414,10 +422,13 @@ class TestLoadtestFaultMatrix:
         assert report.failed > 0 and report.served == 0
         assert_conserved(report)
 
-    def test_launch_fail_storm_degrades_and_serves(self, point_index):
+    def test_launch_fail_storm_fails_under_policy(self, point_index):
         report = _tiny_loadtest(
             point_index, DEGRADE, [ServeFaultPlan("launch_fail", times=0)])
-        assert report.served == report.offered > 0
+        # No fallback engine: nothing is served, every admitted query
+        # fails and the open breaker sheds the rest at admission.
+        assert report.served == 0 and report.offered > 0
+        assert report.failed > 0
         assert report.degraded_batches > 0
         assert set(report.degraded_reasons) <= {"launch_failure",
                                                 "breaker_open"}

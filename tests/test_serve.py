@@ -3,8 +3,9 @@
 Covers the batcher's no-loss/no-duplication contract under size vs
 timeout races, deterministic loadtest percentiles under seeded
 arrivals, per-platform equivalence of the serve path with the one-shot
-harness, guard-triggered degradation of a poisoned batch to the legacy
-engine, and the exec build cache the resident indexes ride on.
+harness, a guard-poisoned batch failing loudly without disturbing
+concurrent healthy launches, and the exec build cache the resident
+indexes ride on.
 """
 
 import json
@@ -458,30 +459,27 @@ class TestServeEquivalence:
         assert config.n_sms == expected.n_sms
 
 
-# -- guard degradation --------------------------------------------------------------
+# -- guard failures -----------------------------------------------------------------
 class TestGuardDegradation:
     @pytest.fixture(autouse=True)
     def _poison(self, monkeypatch):
-        # The stall fault only arms on the fast engine; legacy retry
-        # must genuinely recover (see repro/guard/faults.py).
-        monkeypatch.setenv("REPRO_SIM_CORE", "fast")
         monkeypatch.setenv("REPRO_FAULTS", "stall:query=3")
         monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
         monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
 
-    def test_poisoned_batch_degrades_to_legacy(self, point_index):
+    def test_poisoned_batch_fails_loudly(self, point_index):
         from repro.guard import Guard, GuardConfig
 
         backend = LaunchBackend(
             "tta", guard=Guard(GuardConfig(mode="on")))
         # Slot 3 of any >=4-query batch trips the injected stall.
         launch = backend.launch(point_index, [10, 11, 12, 13, 14])
-        assert launch.engine == "legacy"
+        assert launch.failed and launch.engine == "failed"
         assert "SimulationStallError" in launch.error
+        assert launch.results == {}
+        assert launch.notes["degraded_reason"] == "guard"
         assert backend.degraded == 1
-        wl = point_index.workload
-        for slot, qid in enumerate([10, 11, 12, 13, 14]):
-            assert launch.results[slot] == wl.golden[qid]
+        assert backend.degraded_reasons == {"guard": 1}
 
     def test_small_batches_stay_on_fast_engine(self, point_index):
         from repro.guard import Guard, GuardConfig
@@ -501,8 +499,12 @@ class TestGuardDegradation:
             "tta", {"point": point_index}, profile,
             policy=BatchPolicy(max_batch=8, max_wait_s=20e-3),
             guard=Guard(GuardConfig(mode="on")))
-        assert report.served > 0
+        # Every batch of >= 4 queries trips the stall and fails; its
+        # queries are counted failed, never dropped.
         assert report.degraded_batches > 0
+        assert report.degraded_reasons == {"guard": report.degraded_batches}
+        assert report.failed > 0
+        assert report.offered == report.served + report.failed + report.shed
         assert report.metrics.get("serve.degraded_batches") == \
             report.degraded_batches
 
@@ -606,6 +608,59 @@ class TestServeService:
                     await service.query("point", qid=10**6)
 
         asyncio.run(main())
+
+    def test_poisoned_class_leaves_concurrent_class_intact(
+            self, point_index):
+        """One class's batch trips the guard while another class's
+        batch launches beside it on the executor's threads: the poisoned
+        batch fails loudly, the healthy one is bit-identical to a serial
+        run, and nothing touches the process environment."""
+        import asyncio
+        import os
+
+        from repro.errors import BackendLaunchError
+        from repro.guard import GuardConfig
+        from repro.guard.faults import FaultPlan, faulty_factory
+        from repro.serve import ServeService
+
+        # A config, not a Guard: each launch gets its own watchdog.
+        guard = GuardConfig(mode="on", check_events=2_000,
+                            stall_events=10_000)
+        range_index = build_resident_index("range", TINY["range"])
+        healthy_qids = [0, 1, 2, 3]
+        serial = LaunchBackend("tta", guard=guard).launch(range_index,
+                                                          healthy_qids)
+
+        backend = LaunchBackend("tta", guard=guard)
+        # Slot 6 exists only in the 8-query point batch.
+        backend._factory = faulty_factory(
+            backend._factory, FaultPlan("stall", query_id=6, sm="all"))
+        env_before = dict(os.environ)
+
+        async def main():
+            service = ServeService(
+                {"point": point_index, "range": range_index},
+                platform="tta", backend=backend,
+                policy=BatchPolicy(max_batch=8, max_wait_s=0.02))
+            async with service:
+                return await asyncio.gather(
+                    *[service.query("point", qid=i) for i in range(8)],
+                    *[service.query("range", qid=i) for i in healthy_qids],
+                    return_exceptions=True)
+
+        responses = asyncio.run(main())
+        poisoned, healthy = responses[:8], responses[8:]
+        for response in poisoned:
+            assert isinstance(response, BackendLaunchError)
+            assert "SimulationStallError" in str(response)
+        wl = range_index.workload
+        for qid, response in zip(healthy_qids, healthy):
+            assert tuple(sorted(response.result)) == \
+                wl.golden(wl.windows[qid])
+            assert response.batch_size == len(healthy_qids)
+            assert response.cycles == serial.cycles
+        assert backend.degraded_reasons == {"guard": 1}
+        assert dict(os.environ) == env_before
 
 
 # -- obs TimeSeries retention bound -------------------------------------------------

@@ -12,7 +12,6 @@ Examples::
     python -m repro campaign run table.json --workers 4
     python -m repro campaign worker --join ~/.cache/repro/campaigns/ab-12
     python -m repro campaign status ~/.cache/repro/campaigns/ab-12
-    python -m repro bench BENCH_core.json /tmp/candidate.json --check
     python -m repro loadtest --platform gpu,tta,ttaplus --qps 500,2000
     python -m repro serve --platform tta --input queries.jsonl
     python -m repro cache stats
@@ -93,7 +92,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 #: ``repro --help`` epilog: the subcommands, grouped by what they are
 #: for (argparse's flat listing hides the structure once there are
-#: seven of them).
+#: eight of them).
 _COMMAND_GROUPS = """\
 command groups:
   experiments (one-shot figure reproduction):
@@ -107,7 +106,6 @@ command groups:
     campaign worker     join an existing campaign from this (or any) host
     campaign status     progress probe over a campaign directory
     campaign expand     print the expanded run table without running it
-    bench               diff two BENCH_*.json files; --check gates CI
 
   serving (resident indexes, repro.serve):
     serve               answer JSON-lines queries over warm indexes
@@ -363,23 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         "expand", help="print the expanded run table without running it")
     cexpand.add_argument("table", type=pathlib.Path)
     cexpand.add_argument("--json", action="store_true")
-
-    bench = sub.add_parser(
-        "bench", help="diff two BENCH_*.json files with noise-aware "
-                      "thresholds; --check exits non-zero on regression")
-    bench.add_argument("baseline", type=pathlib.Path)
-    bench.add_argument("candidate", type=pathlib.Path)
-    bench.add_argument("--check", action="store_true",
-                       help="exit 1 when any gated leaf regressed")
-    bench.add_argument("--threshold", type=float, default=10.0,
-                       metavar="PCT",
-                       help="base regression gate in percent (default: 10)")
-    bench.add_argument("--noise-factor", type=float, default=3.0,
-                       metavar="F",
-                       help="widen each leaf's gate to F x its baseline "
-                            "rep-to-rep cv%% (default: 3)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the full diff as JSON")
 
     cache = sub.add_parser(
         "cache", help="inspect, prune, or clear the on-disk caches")
@@ -882,29 +863,6 @@ def cmd_campaign(args) -> int:
         return 2
 
 
-def cmd_bench(args) -> int:
-    import json
-
-    from repro.campaign import check, compare_files
-
-    try:
-        diff = compare_files(args.baseline, args.candidate,
-                             threshold_pct=args.threshold,
-                             noise_factor=args.noise_factor)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(diff.to_dict(), indent=1, default=str))
-    else:
-        print(diff.summary())
-    if args.check:
-        code, verdict = check(diff)
-        print(verdict)
-        return code
-    return 0
-
-
 # -- serving ---------------------------------------------------------------------
 def _build_indexes(mix_text: str, scale: str, no_cache: bool):
     """Resident indexes for every class in a CLI mix string, routed
@@ -1174,8 +1132,6 @@ def main(argv=None) -> int:
         return cmd_cache(args.action, stale_leases=args.stale_leases)
     if args.command == "campaign":
         return cmd_campaign(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     if args.command == "serve":
         return cmd_serve(args)
     if args.command == "loadtest":

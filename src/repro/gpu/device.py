@@ -112,9 +112,10 @@ class GPU:
         """Run ``kernel`` over ``n_threads`` threads to completion.
 
         ``guard`` overrides the ``$REPRO_GUARD``-derived watchdog for
-        this launch: pass a :class:`repro.guard.Guard`, a
-        :class:`repro.guard.GuardConfig`, or leave None to build one
-        from the environment (``REPRO_GUARD=off`` disables it).
+        this launch: pass a :class:`repro.guard.GuardConfig`, from which
+        the launch builds its own :class:`repro.guard.Guard`, or leave
+        None to build one from the environment (``REPRO_GUARD=off``
+        disables it).
         """
         if n_threads <= 0:
             raise ConfigurationError("kernel needs at least one thread")

@@ -4,9 +4,10 @@ The software-traversal (baseline GPU) kernels are *pure* generators:
 their op stream is a function of ``(tid, args)`` alone — they never use
 the value sent back into a ``yield`` and never read simulator state.
 For those kernels the stream can be recorded once by running the
-generator to exhaustion up front, then replayed from a flat list on
-every launch over the same workload: the SIMT timing model consumes the
-identical op sequence, so cycles and statistics are byte-identical,
+generator to exhaustion up front, and each warp's streams reduce to a
+precomputed group-level schedule (:class:`WarpTrace`) that the SM times
+on every launch over the same workload: the SIMT timing model consumes
+the identical op sequence, so cycles and statistics are byte-identical,
 but repeat runs (parameter sweeps, figure reruns, benchmark reps) skip
 the kernel body, the ``yield from`` delegation, and every descriptor
 allocation.
@@ -25,6 +26,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 
 from repro.errors import SimulationError
 from repro.gpu.isa import Compute, Load, Store
+from repro.guard.config import GuardConfig
 from repro.memsys.coalescer import coalesce_sectors
 
 #: Distinguishes "kernel wrote no result for this tid" from a None result.
@@ -40,38 +42,6 @@ def value_independent(kernel: Callable) -> Callable:
     return kernel
 
 
-class ReplayStream:
-    """Generator stand-in that replays a recorded op stream.
-
-    Quacks like a thread generator for :class:`~repro.gpu.warp.Warp`
-    (which only calls ``send``); values sent in are ignored, exactly as
-    the recorded kernel ignored them.  On exhaustion the recorded
-    functional result is written into *this launch's* results dict
-    before ``StopIteration`` propagates, matching the side effect the
-    kernel body performed when it was recorded.
-    """
-
-    __slots__ = ("_ops", "_i", "_n", "_tid", "_result", "_results")
-
-    def __init__(self, ops: List[Any], tid: int, result: Any,
-                 results: dict):
-        self._ops = ops
-        self._i = 0
-        self._n = len(ops)
-        self._tid = tid
-        self._result = result
-        self._results = results
-
-    def send(self, value: Any) -> Any:
-        i = self._i
-        if i == self._n:
-            if self._result is not _MISSING:
-                self._results[self._tid] = self._result
-            raise StopIteration
-        self._i = i + 1
-        return self._ops[i]
-
-
 def record_stream(kernel: Callable[[int, Any], Generator], tid: int,
                   args: Any) -> Recording:
     """Run ``kernel(tid, args)`` to exhaustion, collecting its ops."""
@@ -84,22 +54,6 @@ def record_stream(kernel: Callable[[int, Any], Generator], tid: int,
     except StopIteration:
         pass
     return ops, args.results.get(tid, _MISSING)
-
-
-def replay_threads(kernel: Callable[[int, Any], Generator],
-                   thread_ids: Sequence[int], args: Any,
-                   cache: Dict[int, Recording]) -> List[ReplayStream]:
-    """Replay threads for a warp, recording any tid seen for the first time."""
-    results = args.results
-    threads = []
-    append = threads.append
-    get = cache.get
-    for tid in thread_ids:
-        rec = get(tid)
-        if rec is None:
-            rec = cache[tid] = record_stream(kernel, tid, args)
-        append(ReplayStream(rec[0], tid, rec[1], results))
-    return threads
 
 
 class WarpTrace:
@@ -293,14 +247,16 @@ def launch_replay_enabled() -> bool:
     """May launches be served from records under the current environment?
 
     Replay must be gated off whenever a launch is *not* a pure function
-    of its arguments: armed fault injection, and any guard override from
-    the environment (tests tighten guard thresholds to force failures
-    mid-run).  ``GPU._launch_cache`` also gates it off when the launch
-    would run on the heap-engine oracle.
+    of its arguments: armed fault injection, and a guard configuration
+    from the environment that differs from the default (tests tighten
+    guard thresholds to force failures mid-run).  Setting a variable to
+    its default value, e.g. ``REPRO_GUARD=on``, keeps replay on.
+    ``GPU._launch_cache`` also gates it off when the launch would run on
+    the heap-engine oracle.
     """
     if os.environ.get("REPRO_FAULTS"):
         return False
-    return not any(key.startswith("REPRO_GUARD") for key in os.environ)
+    return GuardConfig.from_env() == GuardConfig()
 
 
 def replay_launch(cache: dict, key: tuple, args: Any):

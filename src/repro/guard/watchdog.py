@@ -33,10 +33,26 @@ a JSON-serializable dict naming the stuck units and jobs, which
 
 from typing import Optional
 
-from repro.errors import InvariantViolation, SimulationStallError
+from repro.errors import (ConfigurationError, InvariantViolation,
+                          SimulationStallError)
 from repro.guard.config import GuardConfig
 from repro.guard.invariants import (check_balance, check_conservation,
                                     quiescence_report)
+
+
+def check_config(value) -> GuardConfig:
+    """Validate a ``guard=`` argument that is not None.
+
+    Only a :class:`GuardConfig` is accepted.  A :class:`Guard` object
+    holds one run's state, and :meth:`Guard.attach` rebinds it, so one
+    passed to a backend would be shared by every launch it makes.
+    """
+    if not isinstance(value, GuardConfig):
+        raise ConfigurationError(
+            f"guard= takes a GuardConfig or None, not "
+            f"{type(value).__name__}; each launch builds its own Guard"
+        )
+    return value
 
 
 class Guard:
@@ -65,14 +81,12 @@ class Guard:
 
     @staticmethod
     def resolve(value) -> Optional["Guard"]:
-        """Normalize a ``guard=`` argument: None -> from env, a
-        :class:`GuardConfig` -> fresh guard (or None when off), a
-        :class:`Guard` -> itself."""
+        """A fresh guard for one launch from a ``guard=`` argument: None
+        -> from env, a :class:`GuardConfig` -> built from it (None when
+        off).  Anything else, a :class:`Guard` included, is refused."""
         if value is None:
             return Guard.from_env()
-        if isinstance(value, GuardConfig):
-            return None if value.mode == "off" else Guard(value)
-        return value
+        return None if check_config(value).mode == "off" else Guard(value)
 
     # -- wiring ------------------------------------------------------------
     def attach(self, sim, sms=(), hierarchy=None, stats=None,

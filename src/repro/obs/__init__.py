@@ -15,9 +15,7 @@ The observability subsystem has three parts:
   metrics JSON, terminal summaries, and ``$REPRO_OBS_DIR`` guard
   diagnostic dumps.
 
-Overhead contract (checked by ``benchmarks/bench_obs.py``): tracing off
-costs <= 1% on the ``bench_perf_core`` workload points; sampled tracing
-(rate >= 16) costs <= 10%.
+With tracing off, each emission point costs one is-None branch.
 """
 
 from repro.obs.export import (

@@ -44,7 +44,9 @@ from repro.errors import (BackendLaunchError, ConfigurationError,
                           GuardError, InvariantViolation)
 from repro.gpu import GPU
 from repro.gpu.config import GPUConfig
+from repro.guard.config import GuardConfig
 from repro.guard.faults import ServeFaults
+from repro.guard.watchdog import check_config
 from repro.serve.index import ResidentIndex
 from repro.serve.resilience import (CircuitBreaker, ResilienceConfig,
                                     check_batch_integrity, default_config)
@@ -101,11 +103,13 @@ class LaunchBackend:
 
     def __init__(self, platform: str,
                  config: Optional[GPUConfig] = None,
-                 guard=None, max_verify: int = 0,
+                 guard: Optional[GuardConfig] = None, max_verify: int = 0,
                  resilience: Optional[ResilienceConfig] = None,
                  faults: Optional[ServeFaults] = None):
         self.platform = platform
-        self.guard = guard
+        #: Each launch builds its own watchdog from this config (None:
+        #: from the environment), so concurrent launches share no state.
+        self.guard = guard if guard is None else check_config(guard)
         #: Verify up to this many queries per batch against the golden
         #: reference (0 = trust the kernels' functional model, which the
         #: equivalence tests oracle).

@@ -6,8 +6,7 @@ pipelines) is built on the primitives exported here:
 * :class:`~repro.sim.engine.Simulator` — the integer-cycle
   calendar-queue engine, the only engine a launch runs on.
 * :class:`~repro.sim.engine_ref.HeapSimulator` — the seed heap engine,
-  kept as the differential oracle that tests and
-  ``benchmarks/bench_perf_core.py`` substitute for
+  kept as the differential oracle that tests substitute for
   ``repro.gpu.device.Simulator``.
 * :class:`~repro.sim.resources.PipelinedUnit` /
   :class:`~repro.sim.resources.Timeline` /

@@ -4,14 +4,10 @@ This is the original ``(time, seq, fn, args)`` heapq scheduler the
 repository shipped with, byte-for-byte in behaviour: float-tolerant
 times, one heap push/pop per event, generator processes resumed through
 ``isinstance`` dispatch.  No launch runs on it at runtime; it is the
-differential oracle:
-
-* ``tests/test_engine_equivalence.py`` checks that the calendar-queue
-  engine preserves its ``(time, seq)`` event ordering exactly, and
-  compares whole launches with this engine substituted for
-  ``repro.gpu.device.Simulator`` (the ``heap_engine`` test fixture);
-* ``benchmarks/bench_perf_core.py`` measures the fast core *against* it
-  on the same workloads, by the same substitution.
+differential oracle: ``tests/test_engine_equivalence.py`` checks that
+the calendar-queue engine preserves its ``(time, seq)`` event ordering
+exactly, and compares whole launches with this engine substituted for
+``repro.gpu.device.Simulator`` (the ``heap_engine`` test fixture).
 
 It shares :class:`~repro.sim.engine.Signal` with the fast core — the
 signal parks whatever waiter record its simulator hands it and calls

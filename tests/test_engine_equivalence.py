@@ -248,7 +248,7 @@ class TestDegenerateEquivalence:
 
     def test_max_cycles_aborts_on_both_engines(self, heap_engine):
         from repro.errors import SimulationStallError
-        from repro.guard import Guard, GuardConfig
+        from repro.guard import GuardConfig
         from repro.rta.traversal import Step, TraversalJob
 
         jobs = [TraversalJob(i, [Step(64 * s, 64, "box")
@@ -257,7 +257,7 @@ class TestDegenerateEquivalence:
         for engine in (contextlib.nullcontext, heap_engine):
             with engine(), pytest.raises(SimulationStallError) as err:
                 self._launch_jobs(jobs,
-                                  guard=Guard(GuardConfig(max_cycles=100)))
+                                  guard=GuardConfig(max_cycles=100))
             assert err.value.diagnostics["reason"] == "cycle-budget"
 
 

@@ -76,12 +76,14 @@ class TestGuardConfig:
         assert Guard.resolve(None) is None
         assert Guard.resolve(GuardConfig(mode="off")) is None
 
-    def test_resolve_passthrough_and_config(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GUARD", raising=False)
-        guard = Guard()
-        assert Guard.resolve(guard) is guard
+    def test_resolve_builds_from_config_and_refuses_guard(self):
         built = Guard.resolve(GuardConfig(mode="watch"))
         assert isinstance(built, Guard) and built.config.mode == "watch"
+        assert Guard.resolve(GuardConfig(mode="watch")) is not built
+        # A Guard holds one run's state; sharing it across launches is
+        # refused rather than silently rebound.
+        with pytest.raises(ConfigurationError):
+            Guard.resolve(Guard())
 
     def test_fault_plan_parsing(self):
         plans = parse_plans("stall:query=7:sm=0; lost_response:sm=all")
@@ -148,7 +150,7 @@ def _faulted_launch(plan, config, n_queries=64, **workload_kw):
         make_rta_factory(tta=True), plan))
     args = wl.kernel_args(jobs=wl.jobs("tta"))
     return gpu.launch(btree_accel_kernel, wl.n_queries, args=args,
-                      guard=Guard(config))
+                      guard=config)
 
 
 class TestFaultDetection:
@@ -205,8 +207,8 @@ class TestFaultDetection:
         gpu = GPU(cfg, accelerator_factory=make_rta_factory(tta=True))
         args = wl.kernel_args(jobs=wl.jobs("tta"))
         stats = gpu.launch(btree_accel_kernel, wl.n_queries, args=args,
-                           guard=Guard(GuardConfig(mode="strict",
-                                                   check_events=2_000)))
+                           guard=GuardConfig(mode="strict",
+                                             check_events=2_000))
         assert stats.accel_stats["jobs_completed"] == 64
 
 
@@ -384,8 +386,8 @@ class TestGuardTransparency:
             return stats, dict(args.results)
 
         off, off_results = run(GuardConfig(mode="off"))
-        strict, strict_results = run(Guard(GuardConfig(mode="strict",
-                                                       check_events=1_000)))
+        strict, strict_results = run(GuardConfig(mode="strict",
+                                                 check_events=1_000))
         assert off_results == strict_results
         assert float(off.cycles) == float(strict.cycles)
         assert off.total_warp_instructions == strict.total_warp_instructions

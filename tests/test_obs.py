@@ -325,7 +325,7 @@ class TestGuardIntegration:
     def _abort(self, max_cycles=300):
         from repro.errors import SimulationStallError
         from repro.gpu import GPU
-        from repro.guard import Guard, GuardConfig
+        from repro.guard import GuardConfig
         from repro.kernels.btree_search import btree_accel_kernel
         from repro.rta.rta import make_rta_factory
 
@@ -336,8 +336,8 @@ class TestGuardIntegration:
         with pytest.raises(SimulationStallError) as err:
             gpu.launch(btree_accel_kernel, wl.n_queries,
                        args=wl.kernel_args(),
-                       guard=Guard(GuardConfig(mode="on",
-                                               max_cycles=max_cycles)))
+                       guard=GuardConfig(mode="on",
+                                         max_cycles=max_cycles))
         return err.value
 
     def test_bundle_embeds_flight_recorder_tail(self):

@@ -11,7 +11,8 @@ Three families:
 * **Launch-level replay** — repeat launches of a marked kernel over an
   identical workload return byte-identical stats, and replay stays off
   wherever a launch is not a pure function of its arguments (armed
-  faults, guard overrides), and for launches on the heap-engine oracle.
+  faults, a non-default guard configuration), and for launches on the
+  heap-engine oracle.
 """
 
 import os
@@ -138,7 +139,7 @@ class TestLaunchReplay:
     @pytest.fixture(autouse=True)
     def _default_environment(self, monkeypatch):
         # Replay is specified for the default environment; the strict CI
-        # leg exports REPRO_GUARD, which (rightly) turns replay off.
+        # leg exports REPRO_GUARD=strict, which (rightly) turns replay off.
         for key in list(os.environ):
             if key.startswith("REPRO_GUARD") or key == "REPRO_FAULTS":
                 monkeypatch.delenv(key)
@@ -167,6 +168,32 @@ class TestLaunchReplay:
     def test_enabled_by_default(self):
         assert launch_replay_enabled()
 
+    @pytest.mark.parametrize("key,value", [
+        ("REPRO_GUARD", "on"),
+        ("REPRO_GUARD", ""),
+        ("REPRO_GUARD_STALL_EVENTS", "2000000"),
+    ])
+    def test_enabled_when_guard_env_equals_default(self, monkeypatch, key,
+                                                   value):
+        monkeypatch.setenv(key, value)
+        assert launch_replay_enabled()
+
+    def test_relaunch_replays_under_default_guard_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GUARD", "on")
+        wl = make_btree_workload("btree", n_keys=512, n_queries=128, seed=9)
+        first = run_btree(wl, "tta")
+        runs = []
+        fast_run = Simulator.run
+
+        def spy(sim, *args, **kwargs):
+            runs.append(sim)
+            return fast_run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", spy)
+        second = run_btree(wl, "tta")
+        assert runs == []
+        assert second.stats.cycles == first.stats.cycles
+
     def test_disabled_under_legacy_engine(self, heap_engine, monkeypatch):
         """A launch recorded on the fast engine must be simulated, not
         replayed, on the heap-engine oracle — otherwise the differential
@@ -193,6 +220,9 @@ class TestLaunchReplay:
 
     def test_disabled_under_guard_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_GUARD_MAX_CYCLES", "1000")
+        assert not launch_replay_enabled()
+        monkeypatch.delenv("REPRO_GUARD_MAX_CYCLES")
+        monkeypatch.setenv("REPRO_GUARD", "strict")
         assert not launch_replay_enabled()
 
 

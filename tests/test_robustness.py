@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationStallError
 from repro.gpu import GPU, AccelCall, Compute, GPUConfig, Load
-from repro.guard import Guard, GuardConfig
+from repro.guard import GuardConfig
 from repro.harness.runner import run_btree, scaled_config_for
 from repro.rta.rta import make_rta_factory
 from repro.rta.traversal import Step, TraversalJob
@@ -146,8 +146,8 @@ class TestAccelRobustness:
         gpu = GPU(GPUConfig(n_sms=1),
                   accelerator_factory=make_rta_factory())
         stats = gpu.launch(kernel, 32,
-                           guard=Guard(GuardConfig(mode="strict",
-                                                   check_events=1_000)))
+                           guard=GuardConfig(mode="strict",
+                                             check_events=1_000))
         assert stats.accel_stats["jobs_completed"] == 0
         assert stats.cycles > 0
 
@@ -180,7 +180,7 @@ class TestAccelRobustness:
                                  for s in range(50)], i)
                 for i in range(32)]
         with pytest.raises(SimulationStallError) as err:
-            _launch_jobs(jobs, guard=Guard(GuardConfig(max_cycles=100)))
+            _launch_jobs(jobs, guard=GuardConfig(max_cycles=100))
         assert err.value.diagnostics["reason"] == "cycle-budget"
 
     def test_prefetch_depth_does_not_change_results(self):

@@ -459,6 +459,36 @@ class TestServeEquivalence:
         assert config.n_sms == expected.n_sms
 
 
+# -- guard per launch ---------------------------------------------------------------
+class TestBackendGuard:
+    def test_guard_object_refused(self):
+        from repro.guard import Guard
+
+        with pytest.raises(ConfigurationError):
+            LaunchBackend("tta", guard=Guard())
+
+    def test_each_launch_attaches_its_own_guard(self, point_index,
+                                                monkeypatch):
+        from repro.guard import Guard, GuardConfig
+
+        attached = []
+        attach = Guard.attach
+
+        def spy(guard, *args, **kwargs):
+            attached.append(guard)
+            return attach(guard, *args, **kwargs)
+
+        monkeypatch.setattr(Guard, "attach", spy)
+        backend = LaunchBackend("tta", guard=GuardConfig(mode="on"))
+        backend.launch(point_index, [1, 2, 3])
+        backend.launch(point_index, [1, 2, 3])
+        # Armed chaos injectors may add a retried launch; every launch
+        # must still attach a guard of its own.
+        assert len(attached) >= 2
+        assert len({id(g) for g in attached}) == len(attached)
+        assert all(g.config == GuardConfig(mode="on") for g in attached)
+
+
 # -- guard failures -----------------------------------------------------------------
 class TestGuardDegradation:
     @pytest.fixture(autouse=True)
@@ -468,10 +498,10 @@ class TestGuardDegradation:
         monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
 
     def test_poisoned_batch_fails_loudly(self, point_index):
-        from repro.guard import Guard, GuardConfig
+        from repro.guard import GuardConfig
 
         backend = LaunchBackend(
-            "tta", guard=Guard(GuardConfig(mode="on")))
+            "tta", guard=GuardConfig(mode="on"))
         # Slot 3 of any >=4-query batch trips the injected stall.
         launch = backend.launch(point_index, [10, 11, 12, 13, 14])
         assert launch.failed and launch.engine == "failed"
@@ -482,23 +512,23 @@ class TestGuardDegradation:
         assert backend.degraded_reasons == {"guard": 1}
 
     def test_small_batches_stay_on_fast_engine(self, point_index):
-        from repro.guard import Guard, GuardConfig
+        from repro.guard import GuardConfig
 
         backend = LaunchBackend(
-            "tta", guard=Guard(GuardConfig(mode="on")))
+            "tta", guard=GuardConfig(mode="on"))
         launch = backend.launch(point_index, [10, 11, 12])
         assert launch.engine == "fast"
         assert backend.degraded == 0
 
     def test_loadtest_counts_degraded_batches(self, point_index):
-        from repro.guard import Guard, GuardConfig
+        from repro.guard import GuardConfig
 
         profile = LoadProfile(qps=400, duration_s=0.05,
                               mix={"point": 1.0}, seed=6)
         report = run_loadtest(
             "tta", {"point": point_index}, profile,
             policy=BatchPolicy(max_batch=8, max_wait_s=20e-3),
-            guard=Guard(GuardConfig(mode="on")))
+            guard=GuardConfig(mode="on"))
         # Every batch of >= 4 queries trips the stall and fails; its
         # queries are counted failed, never dropped.
         assert report.degraded_batches > 0

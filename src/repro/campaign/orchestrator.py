@@ -24,7 +24,6 @@ result is bit-identical.
 
 import hashlib
 import json
-import os
 import pathlib
 import sys
 import time
@@ -32,7 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
-from repro.exec.service import SERIAL_ENV, STATUS_FAILED
+from repro.exec.service import STATUS_FAILED
 from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.campaign.worker import (
     CAMPAIGN_FILE,
@@ -101,12 +100,12 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                  quiet: bool = False) -> Dict[str, Any]:
     """Drain the whole run table with ``workers`` local processes.
 
-    Returns the finalized manifest.  ``workers=1`` (or
-    ``$REPRO_EXEC_SERIAL``, or a sandbox without multiprocessing) runs
-    the single worker in-process; either way the campaign completes.
-    The parent always finishes with an in-process sweep, which doubles
-    as crash recovery: points whose spawned worker died mid-run are
-    stolen once their lease expires (dead local pids immediately).
+    Returns the finalized manifest.  ``workers=1`` (or a sandbox
+    without multiprocessing) runs the single worker in-process; either
+    way the campaign completes.  The parent always finishes with an
+    in-process sweep, which doubles as crash recovery: points whose
+    spawned worker died mid-run are stolen once their lease expires
+    (dead local pids immediately).
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -116,7 +115,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     started_unix = time.time()
 
     procs: List[Any] = []
-    if workers > 1 and not os.environ.get(SERIAL_ENV):
+    if workers > 1:
         try:
             import multiprocessing
             ctx = multiprocessing.get_context(

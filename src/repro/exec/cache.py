@@ -55,8 +55,8 @@ FORMAT = "v1"
 
 #: Modules whose source defines dataset generation and tree
 #: construction; their hash is the "dataset fingerprint" component of
-#: every build key.  ``geometry`` belongs here because builds bake SoA
-#: views and bounds computed by its kernels into the pickled workload.
+#: every build key.  ``geometry`` belongs here because builds bake
+#: bounds computed by its code into the pickled workload.
 _BUILD_SOURCE_PACKAGES = ("trees", "workloads", "geometry")
 
 _build_fingerprint_memo: Optional[str] = None
@@ -67,8 +67,8 @@ def build_fingerprint(root: Optional[pathlib.Path] = None) -> str:
 
     Covers ``repro.trees`` (node layouts, bulk-load algorithms),
     ``repro.workloads`` (dataset generators, buffer placement), and
-    ``repro.geometry`` (the scalar and batch kernels whose numerics the
-    built structures embed).  A build entry written under one
+    ``repro.geometry`` (the bounds and kernels whose numerics the built
+    structures embed).  A build entry written under one
     fingerprint is invisible under any other, so construction-code
     drift invalidates builds wholesale.
 

@@ -37,7 +37,6 @@ or kill a whole figure.
 """
 
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -55,10 +54,6 @@ from repro.exec.spec import RunSpec
 #: Exception type names classified as guard verdicts (matched by name
 #: because pool failures cross a pickling boundary).
 GUARD_FAILURE_TYPES = ("SimulationStallError", "InvariantViolation")
-
-#: Set to a truthy value to force in-process execution regardless of
-#: ``jobs`` (useful under debuggers and in constrained sandboxes).
-SERIAL_ENV = "REPRO_EXEC_SERIAL"
 
 
 # -- worker entry point -----------------------------------------------------------
@@ -315,10 +310,6 @@ class ExecutionService:
     def _record(self, spec: RunSpec, status: str, **kw) -> None:
         self.manifest.add(RunRecord(spec.key, spec.label, status, **kw))
 
-    @property
-    def _serial_forced(self) -> bool:
-        return bool(os.environ.get(SERIAL_ENV))
-
     # -- guard quarantine ---------------------------------------------------------
     def _write_quarantine(self, spec: RunSpec, error: str,
                           diagnostics: Optional[dict]) -> Optional[str]:
@@ -454,7 +445,7 @@ class ExecutionService:
     def _dispatch(self, missing, reporter):
         """Run the missing specs; returns (outcomes, mode string)."""
         payloads = [spec.to_json() for spec in missing]
-        if self.jobs > 1 and len(missing) > 1 and not self._serial_forced:
+        if self.jobs > 1 and len(missing) > 1:
             try:
                 runner = ParallelRunner(self.jobs, timeout=self.timeout,
                                         retries=self.retries)

@@ -16,19 +16,9 @@ from repro.geometry.intersect import (
     ray_aabb_intersect,
 )
 from repro.geometry.batch import (
-    aabbs_soa,
-    contains_points_batch,
     point_distance_below_batch,
     point_distance_squared_batch,
     points_soa,
-    ray_aabb_slab_batch,
-    ray_sphere_batch,
-    ray_sphere_roots_batch,
-    ray_triangle_batch,
-    ray_triangle_candidates_batch,
-    rays_soa,
-    spheres_soa,
-    triangles_soa,
 )
 
 __all__ = [
@@ -43,17 +33,7 @@ __all__ = [
     "ray_triangle_intersect",
     "ray_sphere_intersect",
     "point_distance_below",
-    "aabbs_soa",
-    "contains_points_batch",
     "point_distance_below_batch",
     "point_distance_squared_batch",
     "points_soa",
-    "ray_aabb_slab_batch",
-    "ray_sphere_batch",
-    "ray_sphere_roots_batch",
-    "ray_triangle_batch",
-    "ray_triangle_candidates_batch",
-    "rays_soa",
-    "spheres_soa",
-    "triangles_soa",
 ]

@@ -1,118 +1,29 @@
-"""Vectorized batch geometry kernels over struct-of-arrays float64 data.
+"""Vectorized Point-to-Point test over struct-of-arrays float64 data.
 
-The scalar tests in :mod:`repro.geometry.intersect` /
-:mod:`~repro.geometry.sphere` / :mod:`~repro.geometry.triangle` model
-the hardware datapaths one ray at a time; the functions here evaluate
-the *same* datapaths over whole warps/wavefronts of queries with numpy,
-the way RTNN-style systems batch all queries' primitive tests into wide
-sweeps.  Inputs are struct-of-arrays: coordinates as ``(..., 3)``
-float64 arrays, scalars broadcast.
+The scalar :func:`repro.geometry.intersect.point_distance_below` models
+the Algorithm-2 datapath one point at a time; the functions here
+evaluate the *same* datapath over a whole point cloud with numpy.  The
+RTNN golden oracle uses them for its brute-force sweep.  Inputs are
+struct-of-arrays: coordinates as ``(..., 3)`` float64 arrays, scalars
+broadcast.
 
-Every kernel is **bit-identical** to its scalar reference, including
-under NaN/inf operands and inverted (tmin > tmax) intervals.  Two rules
-make that hold:
-
-* arithmetic uses the exact operation order of the scalar code (numpy
-  float64 ops are IEEE-754 like Python floats, so same order ⇒ same
-  bits);
-* Python's ``min(a, b)``/``max(a, b)`` keep the *first* argument unless
-  the second compares strictly smaller/greater — which is also how a
-  comparator-mux network behaves, and differs from ``np.minimum`` /
-  ``np.maximum`` (those propagate NaN).  The ``_pymin``/``_pymax``
-  helpers reproduce the compare-and-select fold with ``np.where``, and
-  rejection tests use the negated comparison forms (``~(t < tmin)``
-  instead of ``t >= tmin``) so NaN operands fall through each branch
-  exactly as they do in the scalar control flow.
+Every kernel is **bit-identical** to its scalar reference: arithmetic
+uses the exact operation order of the scalar code, and numpy float64
+ops are IEEE-754 like Python floats, so same order means same bits.
 """
 
 import numpy as np
 
 __all__ = [
-    "aabbs_soa",
-    "contains_points_batch",
     "point_distance_below_batch",
     "point_distance_squared_batch",
     "points_soa",
-    "ray_aabb_slab_batch",
-    "ray_sphere_batch",
-    "ray_sphere_roots_batch",
-    "ray_triangle_batch",
-    "ray_triangle_candidates_batch",
-    "rays_soa",
-    "spheres_soa",
-    "triangles_soa",
 ]
 
-_TRI_EPSILON = 1e-9  # keep in sync with repro.geometry.triangle._EPSILON
 
-
-def _pymin(a, b):
-    """Elementwise Python-``min`` semantics: b if b < a else a."""
-    return np.where(b < a, b, a)
-
-
-def _pymax(a, b):
-    """Elementwise Python-``max`` semantics: b if b > a else a."""
-    return np.where(b > a, b, a)
-
-
-# -- struct-of-arrays packers --------------------------------------------------
 def points_soa(points) -> np.ndarray:
     """Pack a sequence of :class:`~repro.geometry.vec.Vec3` into (N, 3)."""
     return np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64)
-
-
-def aabbs_soa(boxes):
-    """Pack AABBs into ``(lo, hi)`` arrays of shape (N, 3)."""
-    lo = np.array([(b.lo.x, b.lo.y, b.lo.z) for b in boxes], dtype=np.float64)
-    hi = np.array([(b.hi.x, b.hi.y, b.hi.z) for b in boxes], dtype=np.float64)
-    return lo, hi
-
-
-def spheres_soa(spheres):
-    """Pack spheres into ``(centers (N, 3), radii (N,))`` arrays."""
-    centers = points_soa([s.center for s in spheres])
-    radii = np.array([s.radius for s in spheres], dtype=np.float64)
-    return centers, radii
-
-
-def triangles_soa(triangles):
-    """Pack triangles into ``(v0, v1, v2)`` arrays of shape (N, 3)."""
-    return (points_soa([t.v0 for t in triangles]),
-            points_soa([t.v1 for t in triangles]),
-            points_soa([t.v2 for t in triangles]))
-
-
-def rays_soa(rays):
-    """Pack rays into ``(origin, inv_direction, direction, tmin, tmax)``."""
-    origin = points_soa([r.origin for r in rays])
-    inv = points_soa([r.inv_direction for r in rays])
-    direction = points_soa([r.direction for r in rays])
-    tmin = np.array([r.tmin for r in rays], dtype=np.float64)
-    tmax = np.array([r.tmax for r in rays], dtype=np.float64)
-    return origin, inv, direction, tmin, tmax
-
-
-# -- Ray-Box (slab) ------------------------------------------------------------
-def ray_aabb_slab_batch(origin, inv_direction, tmin, tmax, lo, hi):
-    """Batched slab test; mirrors :func:`repro.geometry.ray_aabb_intersect`.
-
-    ``origin``/``inv_direction`` and ``lo``/``hi`` are ``(..., 3)``
-    arrays (broadcast against each other); ``tmin``/``tmax`` scalars or
-    ``(...)`` arrays.  Returns ``(hit, t_entry, t_exit)`` where
-    ``t_entry``/``t_exit`` equal the scalar results bit-for-bit on
-    every lane (hit or miss).
-    """
-    with np.errstate(invalid="ignore"):  # 0 * inf lanes; scalar math is silent
-        t1 = (lo - origin) * inv_direction
-        t2 = (hi - origin) * inv_direction
-    near = _pymin(t1, t2)
-    far = _pymax(t1, t2)
-    t_entry = _pymax(
-        _pymax(_pymax(near[..., 0], near[..., 1]), near[..., 2]), tmin)
-    t_exit = _pymin(
-        _pymin(_pymin(far[..., 0], far[..., 1]), far[..., 2]), tmax)
-    return t_entry <= t_exit, t_entry, t_exit
 
 
 # -- Point-to-Point (Algorithm 2) ----------------------------------------------
@@ -128,102 +39,3 @@ def point_distance_below_batch(a, b, threshold):
     dis2 = point_distance_squared_batch(a, b)
     threshold = np.asarray(threshold, dtype=np.float64)
     return dis2 < threshold * threshold
-
-
-def contains_points_batch(lo, hi, p):
-    """Batched inclusive point-in-AABB test (``AABB.contains_point``)."""
-    p = np.asarray(p, dtype=np.float64)
-    return ((lo[..., 0] <= p[..., 0]) & (p[..., 0] <= hi[..., 0])
-            & (lo[..., 1] <= p[..., 1]) & (p[..., 1] <= hi[..., 1])
-            & (lo[..., 2] <= p[..., 2]) & (p[..., 2] <= hi[..., 2]))
-
-
-# -- Ray-Sphere ----------------------------------------------------------------
-def _dot3(a, b):
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-            + a[..., 2] * b[..., 2])
-
-
-def ray_sphere_roots_batch(origin, direction, centers, radii):
-    """Quadratic setup of the Ray-Sphere test, interval checks excluded.
-
-    Returns ``(ok, near, far)``: ``ok`` is the discriminant test
-    (``disc >= 0``); ``near``/``far`` are the two roots, valid only on
-    ``ok`` lanes, each bit-identical to the scalar computation.  The
-    caller applies the [tmin, tmax] selection — sequentially when the
-    interval shrinks across a leaf, or via :func:`ray_sphere_batch`.
-    """
-    oc = origin - centers
-    a = _dot3(direction, direction)
-    half_b = _dot3(oc, direction)
-    c = _dot3(oc, oc) - radii * radii
-    disc = half_b * half_b - a * c
-    ok = ~(disc < 0)
-    sqrt_d = np.sqrt(np.where(ok, disc, 0.0))
-    inv_a = 1.0 / a
-    near = (-half_b - sqrt_d) * inv_a
-    far = (-half_b + sqrt_d) * inv_a
-    return ok, near, far
-
-
-def ray_sphere_batch(origin, direction, tmin, tmax, centers, radii):
-    """Full batched Ray-Sphere test for a fixed [tmin, tmax] interval.
-
-    Mirrors :func:`repro.geometry.ray_sphere_intersect` exactly:
-    returns ``(hit, t)`` with ``t`` the near root when it is in range,
-    else the far root when that is, with the scalar's negated-comparison
-    rejection so NaN roots behave identically.
-    """
-    ok, near, far = ray_sphere_roots_batch(origin, direction, centers, radii)
-    near_in = ~(near < tmin) & ~(near > tmax)
-    far_in = ~(far < tmin) & ~(far > tmax)
-    hit = ok & (near_in | far_in)
-    t = np.where(near_in, near, far)
-    return hit, t
-
-
-# -- Ray-Triangle (Möller-Trumbore) --------------------------------------------
-def _cross3(a, b):
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.float64)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
-
-
-def ray_triangle_candidates_batch(origin, direction, v0, v1, v2):
-    """Möller-Trumbore with every rejection except the t-interval test.
-
-    Returns ``(ok, t, u, v)``: ``ok`` lanes passed the parallel-plane
-    and barycentric tests; ``t``/``u``/``v`` are bit-identical to the
-    scalar computation on those lanes.  The t-interval check is left to
-    the caller (it is the only stage that depends on a shrinking tmax).
-    """
-    edge1 = v1 - v0
-    edge2 = v2 - v0
-    pvec = _cross3(direction, edge2)
-    det = _dot3(edge1, pvec)
-    not_parallel = ~(np.abs(det) < _TRI_EPSILON)
-    inv_det = 1.0 / np.where(not_parallel, det, 1.0)
-
-    tvec = origin - v0
-    u = _dot3(tvec, pvec) * inv_det
-    u_ok = ~(u < 0.0) & ~(u > 1.0)
-
-    qvec = _cross3(tvec, edge1)
-    v = _dot3(direction, qvec) * inv_det
-    v_ok = ~(v < 0.0) & ~(u + v > 1.0)
-
-    t = _dot3(edge2, qvec) * inv_det
-    return not_parallel & u_ok & v_ok, t, u, v
-
-
-def ray_triangle_batch(origin, direction, tmin, tmax, v0, v1, v2):
-    """Full batched Möller-Trumbore test for a fixed [tmin, tmax].
-
-    Returns ``(hit, t, u, v)`` matching
-    :func:`repro.geometry.ray_triangle_intersect` decision-for-decision.
-    """
-    ok, t, u, v = ray_triangle_candidates_batch(origin, direction, v0, v1, v2)
-    hit = ok & ~(t < tmin) & ~(t > tmax)
-    return hit, t, u, v

@@ -233,16 +233,12 @@ def _install_drop_wake(core, plan: FaultPlan, state: dict) -> None:
 
 def _install_stall(core, plan: FaultPlan, state: dict) -> None:
     orig = core._advance_job
-    # The vectorized drain finishes jobs without calling `_advance_job`,
-    # which would hide them from this wrapper.
-    core._vec_drain = False
 
     def advance(slot):
         if _match_job(plan, core, slot, state):
             # Livelock: keep re-parking without touching the traversal,
             # so events flow but the progress token never moves.
-            core._wake_at(float(core._jobs.at[slot]) + STALL_REPARK_CYCLES,
-                          slot)
+            core._wake_at(core._jobs.at[slot] + STALL_REPARK_CYCLES, slot)
             return
         orig(slot)
 

@@ -13,10 +13,7 @@ Table III (*RTNN).
 from dataclasses import dataclass, field
 from typing import Any, List, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.geometry.batch import contains_points_batch, point_distance_below_batch
 from repro.geometry.intersect import point_distance_below
 from repro.geometry.vec import Vec3
 from repro.gpu.isa import AccelCall, Compute
@@ -46,8 +43,12 @@ class RadiusQueryTrace(NamedTuple):
     visits: Tuple[RadiusVisit, ...]
 
 
-def radius_query_scalar(bvh, center: Vec3, radius: float) -> RadiusQueryTrace:
-    """Scalar reference: one node-containment/distance test at a time."""
+def radius_query(bvh, center: Vec3, radius: float) -> RadiusQueryTrace:
+    """Functional radius search over a BVH of inflated point-spheres.
+
+    One node-containment or distance test at a time, in DFS order; the
+    visit trace is what the timing models replay.
+    """
     visits: List[RadiusVisit] = []
     hits: List[int] = []
     stack = [bvh.root]
@@ -67,47 +68,6 @@ def radius_query_scalar(bvh, center: Vec3, radius: float) -> RadiusQueryTrace:
             if inside:
                 stack.append(node.right)
                 stack.append(node.left)
-    return RadiusQueryTrace(tuple(sorted(hits)), tuple(visits))
-
-
-def radius_query(bvh, center: Vec3, radius: float) -> RadiusQueryTrace:
-    """Functional radius search over a BVH of inflated point-spheres.
-
-    Vectorized: both sweeps a query can ever need — point-in-AABB over
-    every node and Algorithm-2 distance over every primitive — run as
-    two batch kernels up front, then a pure-Python DFS replays the exact
-    scalar visit order against the precomputed masks.  Falls back to
-    :func:`radius_query_scalar` for trees without a sphere SoA view.
-    """
-    soa = bvh.soa() if hasattr(bvh, "soa") else None
-    if soa is None or soa.prim_kind != "sphere":
-        return radius_query_scalar(bvh, center, radius)
-    c = np.array((center.x, center.y, center.z), dtype=np.float64)
-    inside_all = contains_points_batch(soa.lo, soa.hi, c).tolist()
-    below_all = point_distance_below_batch(c, soa.centers, radius).tolist()
-    nodes, prim_ids = soa.nodes, soa.prim_id_list
-    left, right = soa.left_list, soa.right_list
-    first, count = soa.first_list, soa.count_list
-
-    visits: List[RadiusVisit] = []
-    hits: List[int] = []
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        child = left[i]
-        if child < 0:
-            found = 0
-            for k in range(first[i], first[i] + count[i]):
-                if below_all[k]:
-                    hits.append(prim_ids[k])
-                    found += 1
-            visits.append(RadiusVisit(nodes[i], "leaf", count[i], found > 0))
-        else:
-            inside = inside_all[i]
-            visits.append(RadiusVisit(nodes[i], "inner", 1, inside))
-            if inside:
-                stack.append(right[i])
-                stack.append(child)
     return RadiusQueryTrace(tuple(sorted(hits)), tuple(visits))
 
 

@@ -28,8 +28,6 @@ the launching warp.
 from collections import deque
 from typing import Iterable, List
 
-import numpy as np
-
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.guard.faults import install_env_faults
 from repro.rta.mem_scheduler import RTAMemScheduler
@@ -56,11 +54,11 @@ class _Batch:
 
 
 class _JobTable:
-    """Struct-of-arrays traversal state for the batched driver.
+    """Column-per-field traversal state for the batched driver.
 
     One preallocated table per core replaces the per-job ``_JobRun``
     objects: each in-flight traversal is a *slot* (an int) indexing
-    parallel columns.  ``at`` is the job's *analytic* clock: engine
+    parallel list columns.  ``at`` is the job's *analytic* clock: engine
     wake-ups are quantized to whole cycles, but the traversal chains its
     resource completion times in exact float time (just like the legacy
     per-job generator, which resumed at the float timestamp directly),
@@ -74,35 +72,23 @@ class _JobTable:
     duplicate-completion diagnostics (query id, batch) readable.
     """
 
-    __slots__ = ("capacity", "idx", "n_steps", "at", "begin", "fetched",
-                 "done", "job", "steps", "batch", "chain", "free")
+    _COLUMNS = ("idx", "at", "begin", "fetched", "done",
+                "job", "steps", "batch", "chain")
 
-    _COLUMNS = (("idx", np.int32), ("n_steps", np.int32),
-                ("at", np.float64), ("begin", np.float64),
-                ("fetched", np.bool_), ("done", np.bool_))
+    __slots__ = _COLUMNS + ("capacity", "free")
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
-        for name, dtype in self._COLUMNS:
-            setattr(self, name, np.zeros(capacity, dtype=dtype))
-        self.job: List = [None] * capacity
-        self.steps: List = [None] * capacity
-        self.batch: List = [None] * capacity
-        self.chain: List = [None] * capacity
+        for name in self._COLUMNS:
+            setattr(self, name, [None] * capacity)
         # pop() takes from the tail, so low slots go out first.
         self.free: List[int] = list(range(capacity - 1, -1, -1))
 
     def _grow(self) -> None:
         old = self.capacity
         new = old * 2
-        for name, dtype in self._COLUMNS:
-            grown = np.zeros(new, dtype=dtype)
-            grown[:old] = getattr(self, name)
-            setattr(self, name, grown)
-        self.job.extend([None] * old)
-        self.steps.extend([None] * old)
-        self.batch.extend([None] * old)
-        self.chain.extend([None] * old)
+        for name in self._COLUMNS:
+            getattr(self, name).extend([None] * old)
         self.free.extend(range(new - 1, old - 1, -1))
         self.capacity = new
 
@@ -115,7 +101,6 @@ class _JobTable:
         self.batch[slot] = batch
         self.chain[slot] = None  # in-flight TTA+ µop chain, if any
         self.idx[slot] = 0
-        self.n_steps[slot] = len(job.steps)
         self.at[slot] = begin
         self.begin[slot] = begin
         self.fetched[slot] = False  # current step's node fetch completed
@@ -124,11 +109,6 @@ class _JobTable:
 
     def release(self, slot: int) -> None:
         self.free.append(slot)
-
-
-#: A same-cycle wake bucket at least this large classifies its woken
-#: jobs (finished vs. still stepping) with one vectorized column read.
-_VEC_DRAIN_MIN = 8
 
 
 class RTACore:
@@ -170,10 +150,6 @@ class RTACore:
         self._jobs = _JobTable()
         self._wake: dict = {}  # cycle -> [slot, ...] awaiting that cycle
         self._pending: set = set()  # query ids launched but not completed
-        # Vectorized drain fast-path.  It finishes jobs without calling
-        # `_advance_job`, so a fault injector that wraps that method
-        # turns it off.
-        self._vec_drain = True
         install_env_faults(self)
 
     # -- submission interface (matches gpu.sm expectations) ---------------------
@@ -198,12 +174,13 @@ class RTACore:
     # -- batched driver (fast engine) --------------------------------------------
     def _launch_batch(self, batch: _Batch) -> None:
         now = self.sim.now
+        begin = float(now)  # the analytic clock runs in float time
         warp_buffer = self.warp_buffer
         queue = self._admit_queue
         advance = self._advance_job
         acquire = self._jobs.acquire
         for job in batch.jobs:
-            slot = acquire(job, batch, now)
+            slot = acquire(job, batch, begin)
             if queue or not warp_buffer.try_admit(now):
                 queue.append(slot)
             else:
@@ -228,9 +205,9 @@ class RTACore:
         # table columns are written back only when the job parks.  The
         # analytic clock ``at`` is constant within one advance (only
         # ``_wake_at`` moves it), so it is read exactly once.
-        now = float(jobs.at[slot])
-        idx = int(jobs.idx[slot])
-        fetched = bool(jobs.fetched[slot])
+        now = jobs.at[slot]
+        idx = jobs.idx[slot]
+        fetched = jobs.fetched[slot]
         while True:
             chain = chains[slot]
             if chain is not None:
@@ -330,29 +307,9 @@ class RTACore:
             bucket.append(slot)
 
     def _drain_wake(self, cycle: int) -> None:
-        slots = self._wake.pop(cycle)
         advance = self._advance_job
-        if len(slots) < _VEC_DRAIN_MIN or not self._vec_drain:
-            for slot in slots:
-                advance(slot)
-            return
-        # Vectorized step evaluation: classify every woken job in one
-        # column read.  A job whose step cursor has run off the end (and
-        # has no µop chain in flight) only re-enters `_advance_job` to
-        # fall straight through to `_finish_job`; taking it there
-        # directly is observably identical, including the progress
-        # counter, which counts this final (empty) advance either way.
-        arr = np.fromiter(slots, dtype=np.int64, count=len(slots))
-        jobs = self._jobs
-        finishing = (jobs.idx[arr] >= jobs.n_steps[arr]).tolist()
-        chains = jobs.chain
-        finish = self._finish_job
-        for slot, fin in zip(slots, finishing):
-            if fin and chains[slot] is None:
-                self.steps_advanced += 1
-                finish(slot)
-            else:
-                advance(slot)
+        for slot in self._wake.pop(cycle):
+            advance(slot)
 
     def _finish_job(self, slot: int) -> None:
         jobs = self._jobs
@@ -368,13 +325,13 @@ class RTACore:
                 diagnostics,
             )
         jobs.done[slot] = True
-        now = float(jobs.at[slot])  # analytic completion time (≤ the cycle)
+        now = jobs.at[slot]  # analytic completion time (≤ the cycle)
         warp_buffer = self.warp_buffer
         warp_buffer.vacate(now)
         if self.trace is not None:
             self.trace.emit("rta", self._unit, "job_done", now, 0.0,
                             jobs.job[slot].query_id)
-        self.traversal_latency.sample(now - float(jobs.begin[slot]))
+        self.traversal_latency.sample(now - jobs.begin[slot])
         self.jobs_completed += 1
         self._pending.discard(jobs.job[slot].query_id)
         batch = jobs.batch[slot]
@@ -506,7 +463,7 @@ class RTACore:
                         f"was never drained (now={now})")
         if self._admit_queue:
             head = self._admit_queue[0]
-            waited = now - float(self._jobs.begin[head])
+            waited = now - self._jobs.begin[head]
             if waited > park_cycles:
                 return (f"accelerator sm{self.sm.sm_id}: job "
                         f"{self._jobs.job[head].query_id} parked in the "

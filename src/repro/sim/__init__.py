@@ -40,8 +40,8 @@ __all__ = [
 
 #: Source files folded into the scheduler fingerprint: the engine itself
 #: plus the packages whose code decides what every simulated cycle
-#: computes — the vectorized geometry kernels and the batched
-#: accelerator driver.  An edit to any of these must invalidate cached
+#: computes — the geometry kernels and the batched accelerator
+#: driver.  An edit to any of these must invalidate cached
 #: results.  The heap-engine oracle (``engine_ref.py``) is left out: no
 #: runtime result depends on it.
 _MODEL_SOURCES = (

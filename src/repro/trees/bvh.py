@@ -14,74 +14,13 @@ the top level into an instance costs an R-XFORM µop.
 import math
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.geometry.aabb import AABB
-from repro.geometry.batch import aabbs_soa, spheres_soa, triangles_soa
 from repro.geometry.intersect import ray_aabb_intersect
 from repro.geometry.ray import Ray
-from repro.geometry.sphere import Sphere
-from repro.geometry.triangle import Triangle
 from repro.geometry.vec import Vec3
 
 _SAH_BINS = 12
-
-
-class BVHArrays:
-    """Struct-of-arrays view of a BVH, materialized once per tree.
-
-    Nodes appear in DFS order (the order :meth:`BVH.nodes` serializes,
-    which is also the memory-image layout order), primitives in
-    ``_prim_order`` order so ``prim k`` here is the k-th primitive a
-    leaf's ``[first_prim, first_prim + prim_count)`` slice touches.
-    The numpy columns feed the batch kernels in
-    :mod:`repro.geometry.batch`; the plain-list mirrors keep scalar DFS
-    loops free of per-element numpy indexing overhead.
-    """
-
-    __slots__ = (
-        "nodes", "lo", "hi", "left", "right", "first_prim", "prim_count",
-        "left_list", "right_list", "first_list", "count_list",
-        "prim_ids", "prim_id_list", "prim_kind",
-        "centers", "radii", "v0", "v1", "v2",
-    )
-
-    def __init__(self, bvh: "BVH"):
-        self.nodes = bvh.nodes()
-        index_of = {id(node): i for i, node in enumerate(self.nodes)}
-        self.lo, self.hi = aabbs_soa([node.bounds for node in self.nodes])
-        self.left_list = [-1 if n.is_leaf else index_of[id(n.left)]
-                          for n in self.nodes]
-        self.right_list = [-1 if n.is_leaf else index_of[id(n.right)]
-                           for n in self.nodes]
-        self.first_list = [n.first_prim for n in self.nodes]
-        self.count_list = [n.prim_count for n in self.nodes]
-        self.left = np.array(self.left_list, dtype=np.int32)
-        self.right = np.array(self.right_list, dtype=np.int32)
-        self.first_prim = np.array(self.first_list, dtype=np.int32)
-        self.prim_count = np.array(self.count_list, dtype=np.int32)
-
-        prims = [bvh.primitives[i] for i in bvh._prim_order]
-        self.prim_id_list = [p.prim_id for p in prims]
-        self.prim_ids = np.array(self.prim_id_list, dtype=np.int64)
-        self.centers = self.radii = self.v0 = self.v1 = self.v2 = None
-        if all(isinstance(p, Sphere) for p in prims):
-            self.prim_kind = "sphere"
-            self.centers, self.radii = spheres_soa(prims)
-        elif all(isinstance(p, Triangle) for p in prims):
-            self.prim_kind = "triangle"
-            self.v0, self.v1, self.v2 = triangles_soa(prims)
-        else:
-            self.prim_kind = None
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def n_prims(self) -> int:
-        return len(self.prim_ids)
 
 
 class BVHNode:
@@ -147,11 +86,9 @@ class BVH:
         self._prim_order = list(range(len(self.primitives)))
         self.root = self._build(0, len(self.primitives), method)
         self.node_count = self._count_nodes(self.root)
-        self._soa: Optional[BVHArrays] = None
-        #: bumped by every mutating operation; derived views (the SoA
-        #: arrays, memory images, lowered jobs) key their validity on it.
+        #: bumped by every mutating operation; derived views (memory
+        #: images, lowered jobs) key their validity on it.
         self.mutation_epoch = 0
-        self._soa_epoch = 0
 
     # -- construction ---------------------------------------------------------
     def _range_bounds(self, first: int, count: int) -> AABB:
@@ -224,7 +161,6 @@ class BVH:
 
     def _invalidate(self) -> None:
         self.mutation_epoch = getattr(self, "mutation_epoch", 0) + 1
-        self._soa = None
 
     def insert(self, prim) -> int:
         """Online insert: descend by least bound growth, append at a leaf.
@@ -350,24 +286,6 @@ class BVH:
         return [self.primitives[i].prim_id for i in self._prim_order]
 
     # -- access ---------------------------------------------------------------
-    def soa(self) -> BVHArrays:
-        """The struct-of-arrays view, cached per mutation epoch.
-
-        Mutations (insert/remove/update/refit) bump ``mutation_epoch``,
-        so a stale view is rebuilt on next access instead of silently
-        serving pre-mutation bounds; callers in the kernels/workloads
-        feed its columns to the batch geometry tests instead of walking
-        ``BVHNode`` objects scalar-style.
-        """
-        # getattr guards trees unpickled from caches written before
-        # these attributes existed.
-        epoch = getattr(self, "mutation_epoch", 0)
-        if getattr(self, "_soa", None) is None \
-                or getattr(self, "_soa_epoch", 0) != epoch:
-            self._soa = BVHArrays(self)
-            self._soa_epoch = epoch
-        return self._soa
-
     def leaf_prims(self, node: BVHNode) -> List:
         return [self.primitives[self._prim_order[i]]
                 for i in range(node.first_prim, node.first_prim + node.prim_count)]

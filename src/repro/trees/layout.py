@@ -8,14 +8,10 @@ encoding relies on) at a fixed per-node stride, and maps addresses back
 to node objects for the functional side of the simulation.
 
 Addresses are pure arithmetic — ``base + index * stride`` — so the
-forward map is a lazily-materialized numpy column (one array per tree,
-feeding batched sector math) and the reverse map is division, not a
-per-node hash table.
+reverse map is division, not a per-node hash table.
 """
 
 from typing import Dict, Iterable, List, Optional
-
-import numpy as np
 
 from repro.errors import LayoutError
 
@@ -45,7 +41,6 @@ class TreeImage:
         for index, node in enumerate(self.nodes):
             node.address = base + index * node_stride
             self._index_of[id(node)] = index
-        self._addresses: Optional[np.ndarray] = None
 
     @property
     def size_bytes(self) -> int:
@@ -54,22 +49,6 @@ class TreeImage:
     @property
     def end(self) -> int:
         return self.base + self.size_bytes
-
-    @property
-    def addresses(self) -> np.ndarray:
-        """Per-node address column (int64, layout order), built once."""
-        if self._addresses is None:
-            self._addresses = (self.base + np.arange(len(self.nodes),
-                                                     dtype=np.int64)
-                               * self.node_stride)
-        return self._addresses
-
-    def sectors(self, sector_size: int) -> np.ndarray:
-        """Per-node starting sector ids at the given sector granularity."""
-        if sector_size <= 0 or (sector_size & (sector_size - 1)) != 0:
-            raise LayoutError(
-                f"sector size must be a power of two, got {sector_size}")
-        return self.addresses // sector_size
 
     def address_of(self, node) -> int:
         try:

@@ -243,14 +243,6 @@ class TestExecutionService:
         for spec in specs:
             assert service.run(spec).cycles > 0
 
-    def test_serial_env_forces_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SERIAL", "1")
-        service = ExecutionService(jobs=4, cache=ResultCache(tmp_path))
-        specs = [_tiny_btree_spec(), _tiny_btree_spec(platform="tta")]
-        service.run_many(specs)
-        assert service.manifest.mode == "serial"
-        assert service.manifest.executed == 2
-
     def test_failed_point_is_recorded_then_raised_on_demand(self, tmp_path):
         # n_queries=64 but an invalid variant never reaches a worker-side
         # assert — use a platform the runner rejects instead.

@@ -12,22 +12,14 @@ from repro.geometry import (
     Sphere,
     Triangle,
     Vec3,
-    aabbs_soa,
-    contains_points_batch,
     cross,
     dot,
     point_distance_below,
     point_distance_below_batch,
     points_soa,
     ray_aabb_intersect,
-    ray_aabb_slab_batch,
-    ray_sphere_batch,
     ray_sphere_intersect,
-    ray_triangle_batch,
     ray_triangle_intersect,
-    rays_soa,
-    spheres_soa,
-    triangles_soa,
 )
 
 
@@ -215,110 +207,12 @@ class TestPointDistance:
 
 # -- batch-kernel parity ------------------------------------------------------
 #
-# The repro.geometry.batch kernels promise *bit-identical* results to
-# the scalar references on every lane — including NaN/inf operands and
-# inverted (tmin > tmax) intervals.  These property-style sweeps check
-# exact accept/reject agreement plus float equality of every reported
-# t/u/v on accepting lanes.
+# repro.geometry.batch promises results *bit-identical* to the scalar
+# Point-to-Point test on every lane; the RTNN golden oracle relies on it.
 
 def _rand_vec(rng, scale=10.0):
     return Vec3(rng.uniform(-scale, scale), rng.uniform(-scale, scale),
                 rng.uniform(-scale, scale))
-
-
-def _rand_rays(rng, n):
-    """Generic rays plus the degenerate shapes the hardware must survive."""
-    rays = []
-    for i in range(n):
-        origin = _rand_vec(rng, 3.0)
-        direction = _rand_vec(rng, 1.0)
-        if i % 4 == 1:  # axis-parallel: zero components -> saturated RCP
-            direction = Vec3(0.0, direction.y, 0.0)
-        tmin, tmax = 0.0, rng.uniform(5.0, 40.0)
-        if i % 5 == 2:  # inverted interval: must reject everywhere
-            tmin, tmax = tmax, tmin
-        ray = Ray(origin, direction, tmin=tmin, tmax=tmax)
-        if i % 7 == 3:  # true-inf reciprocals: 0 * inf = NaN paths
-            ray.inv_direction = Vec3(float("inf"), ray.inv_direction.y,
-                                     float("-inf"))
-        rays.append(ray)
-    return rays
-
-
-def _rand_boxes(rng, n):
-    boxes = []
-    for i in range(n):
-        a, b = _rand_vec(rng), _rand_vec(rng)
-        if i % 6 == 1:  # zero-extent box (a point)
-            b = a
-        boxes.append(AABB(a.min_with(b), a.max_with(b)))
-    return boxes
-
-
-def _ray_arrays(ray):
-    o = np.array((ray.origin.x, ray.origin.y, ray.origin.z))
-    inv = np.array((ray.inv_direction.x, ray.inv_direction.y,
-                    ray.inv_direction.z))
-    d = np.array((ray.direction.x, ray.direction.y, ray.direction.z))
-    return o, inv, d
-
-
-class TestBatchSlabParity:
-    def test_random_and_degenerate_sweep(self):
-        rng = random.Random(101)
-        boxes = _rand_boxes(rng, 64)
-        lo, hi = aabbs_soa(boxes)
-        for ray in _rand_rays(rng, 40):
-            o, inv, _ = _ray_arrays(ray)
-            hit, t_entry, t_exit = ray_aabb_slab_batch(
-                o, inv, ray.tmin, ray.tmax, lo, hi)
-            for i, box in enumerate(boxes):
-                res = ray_aabb_intersect(ray, box)
-                assert bool(hit[i]) == (res is not None), (ray, box)
-                if res is not None:
-                    assert (float(t_entry[i]), float(t_exit[i])) == res
-
-    def test_rays_soa_elementwise_pairing(self):
-        rng = random.Random(202)
-        rays = _rand_rays(rng, 48)
-        boxes = _rand_boxes(rng, 48)
-        origin, inv, _, tmin, tmax = rays_soa(rays)
-        lo, hi = aabbs_soa(boxes)
-        hit, t_entry, t_exit = ray_aabb_slab_batch(origin, inv, tmin, tmax,
-                                                   lo, hi)
-        for i, (ray, box) in enumerate(zip(rays, boxes)):
-            res = ray_aabb_intersect(ray, box)
-            assert bool(hit[i]) == (res is not None)
-            if res is not None:
-                assert (float(t_entry[i]), float(t_exit[i])) == res
-
-    def test_inverted_interval_rejects_everywhere(self):
-        ray = Ray(Vec3(0, 0, 0), Vec3(1, 0, 0), tmin=5.0, tmax=1.0)
-        box = AABB(Vec3(-100, -100, -100), Vec3(100, 100, 100))
-        assert ray_aabb_intersect(ray, box) is None
-        lo, hi = aabbs_soa([box])
-        o, inv, _ = _ray_arrays(ray)
-        hit, _, _ = ray_aabb_slab_batch(o, inv, ray.tmin, ray.tmax, lo, hi)
-        assert not bool(hit[0])
-
-    def test_inf_times_zero_nan_lanes_match_scalar(self):
-        # Origin on the slab plane with a true-inf reciprocal: the plane
-        # distances become 0 * inf = NaN, and the scalar min/max fold's
-        # NaN behaviour (first-arg-wins) must be reproduced exactly.
-        ray = Ray(Vec3(0, 0, 0), Vec3(0, 1, 0), tmax=10.0)
-        ray.inv_direction = Vec3(float("inf"), 1.0, float("inf"))
-        boxes = [AABB(Vec3(0, -1, 0), Vec3(0, 1, 0)),
-                 AABB(Vec3(-1, -1, -1), Vec3(0, 1, 0)),
-                 AABB(Vec3(0, 2, 0), Vec3(0, 3, 0))]
-        lo, hi = aabbs_soa(boxes)
-        o, inv, _ = _ray_arrays(ray)
-        hit, t_entry, t_exit = ray_aabb_slab_batch(o, inv, ray.tmin,
-                                                   ray.tmax, lo, hi)
-        for i, box in enumerate(boxes):
-            res = ray_aabb_intersect(ray, box)
-            assert bool(hit[i]) == (res is not None)
-            if res is not None:
-                assert (float(t_entry[i]), float(t_exit[i])) == res
 
 
 class TestBatchPointParity:
@@ -335,63 +229,3 @@ class TestBatchPointParity:
         mask = point_distance_below_batch(q, soa, radius)
         for i, p in enumerate(points):
             assert bool(mask[i]) == point_distance_below(query, p, radius)
-
-    def test_contains_points_matches_scalar(self):
-        rng = random.Random(404)
-        boxes = _rand_boxes(rng, 80)
-        lo, hi = aabbs_soa(boxes)
-        for _ in range(20):
-            p = _rand_vec(rng)
-            mask = contains_points_batch(lo, hi, np.array((p.x, p.y, p.z)))
-            for i, box in enumerate(boxes):
-                assert bool(mask[i]) == box.contains_point(p)
-
-
-class TestBatchSphereParity:
-    def test_random_and_degenerate_sweep(self):
-        rng = random.Random(505)
-        spheres = [Sphere(_rand_vec(rng, 8.0), rng.uniform(0.05, 4.0))
-                   for _ in range(64)]
-        centers, radii = spheres_soa(spheres)
-        for ray in _rand_rays(rng, 40):
-            o, _, d = _ray_arrays(ray)
-            hit, t = ray_sphere_batch(o, d, ray.tmin, ray.tmax,
-                                      centers, radii)
-            for i, sphere in enumerate(spheres):
-                res = ray_sphere_intersect(ray, sphere)
-                assert bool(hit[i]) == (res is not None), (ray, sphere)
-                if res is not None:
-                    assert float(t[i]) == res.t
-
-    def test_origin_inside_far_root_selected(self):
-        sphere = Sphere(Vec3(0, 0, 0), 1.0)
-        ray = Ray(Vec3(0, 0, 0), Vec3(0, 0, -1))
-        centers, radii = spheres_soa([sphere])
-        o, _, d = _ray_arrays(ray)
-        hit, t = ray_sphere_batch(o, d, ray.tmin, ray.tmax, centers, radii)
-        assert bool(hit[0]) and float(t[0]) == ray_sphere_intersect(
-            ray, sphere).t
-
-
-class TestBatchTriangleParity:
-    def test_random_and_degenerate_sweep(self):
-        rng = random.Random(606)
-        triangles = []
-        for i in range(64):
-            v0 = _rand_vec(rng, 6.0)
-            if i % 8 == 1:  # degenerate (zero-area) triangle
-                triangles.append(Triangle(v0, v0, v0))
-            else:
-                triangles.append(Triangle(v0, _rand_vec(rng, 6.0),
-                                          _rand_vec(rng, 6.0)))
-        v0, v1, v2 = triangles_soa(triangles)
-        for ray in _rand_rays(rng, 40):
-            o, _, d = _ray_arrays(ray)
-            hit, t, u, v = ray_triangle_batch(o, d, ray.tmin, ray.tmax,
-                                              v0, v1, v2)
-            for i, tri in enumerate(triangles):
-                res = ray_triangle_intersect(ray, tri)
-                assert bool(hit[i]) == (res is not None), (ray, tri)
-                if res is not None:
-                    assert (float(t[i]), float(u[i]), float(v[i])) == \
-                        (res.t, res.u, res.v)

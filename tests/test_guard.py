@@ -309,7 +309,6 @@ class TestExecQuarantine:
         monkeypatch.setenv("REPRO_FAULTS", "stall:query=40:sm=all")
         monkeypatch.setenv("REPRO_GUARD_STALL_EVENTS", "10000")
         monkeypatch.setenv("REPRO_GUARD_CHECK_EVENTS", "2000")
-        monkeypatch.setenv("REPRO_EXEC_SERIAL", "1")
 
         def spec_for(n_queries):
             return RunSpec(kind="btree",

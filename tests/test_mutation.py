@@ -473,20 +473,6 @@ class TestStalenessContracts:
         assert len(cached.tree) == len(index.workload.tree) - \
             (mutator.live_size - len(cached.tree))
 
-    def test_bvh_soa_refreshes_after_mutation(self):
-        """Satellite regression: ``soa()`` must re-pack after any
-        structural mutation, not serve the stale arrays."""
-        index = tiny_index("radius")
-        bvh = index.workload.bvh
-        stale = bvh.soa()
-        mutator = make_mutator("radius", index.workload)
-        rng = random.Random(0)
-        mutator.apply("insert", rng)
-        fresh = bvh.soa()
-        assert fresh is not stale
-        assert len(fresh.nodes) == len(bvh.nodes())
-        assert bvh.soa() is fresh, "epoch-stable soa stays memoized"
-
     def test_backend_config_tracks_mutation_epoch(self):
         index = tiny_index("point")
         backend = LaunchBackend("tta")

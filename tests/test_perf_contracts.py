@@ -1,13 +1,13 @@
-"""Performance contracts of the vectorized/batched hot paths.
+"""Performance contracts of the batched hot paths.
 
 Three families:
 
 * **Model fingerprints** — geometry/rta source edits must flip both the
   exec-cache scheduler fingerprint and the build fingerprint, so stale
-  cached results can never be served across vectorized-path changes.
+  cached results can never be served across hot-path changes.
 * **Allocation-free driver** — a warm RTA core resubmitted a 4096-job
-  batch must not allocate per-job Python objects: the SoA job table
-  recycles its slots.
+  batch must not allocate per-job Python objects: the column-per-field
+  job table recycles its slots.
 * **Launch-level replay** — repeat launches of a marked kernel over an
   identical workload return byte-identical stats, and replay stays off
   wherever a launch is not a pure function of its arguments (armed
@@ -15,6 +15,7 @@ Three families:
   heap-engine oracle.
 """
 
+import gc
 import os
 import pathlib
 import shutil
@@ -28,7 +29,6 @@ from repro.gpu.device import KernelStats
 from repro.gpu.replay import launch_replay_enabled
 from repro.gpu.sm import SM
 from repro.harness.runner import run_btree, run_rtnn
-from repro.kernels.radius_search import radius_query, radius_query_scalar
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.rta import Step, TraversalJob
 from repro.rta.rta import make_rta_factory
@@ -108,10 +108,14 @@ class TestAllocationFreeDriver:
         capacity = core._jobs.capacity
 
         second = _single_step_jobs("again")  # built outside the window
+        # A full collection also empties CPython's free lists; without
+        # these two, what earlier tests parked there counts as blocks here.
+        gc.collect()
         tracemalloc.start()
         core.submit(sim.now, second)
         sim.run()
         _, peak = tracemalloc.get_traced_memory()
+        gc.collect()
         snapshot = tracemalloc.take_snapshot()
         tracemalloc.stop()
 
@@ -224,14 +228,3 @@ class TestLaunchReplay:
         monkeypatch.delenv("REPRO_GUARD_MAX_CYCLES")
         monkeypatch.setenv("REPRO_GUARD", "strict")
         assert not launch_replay_enabled()
-
-
-# -- vectorized radius query --------------------------------------------------
-class TestRadiusQueryParity:
-    def test_vectorized_matches_scalar_trace_for_trace(self):
-        wl = make_rtnn_workload(n_points=512, n_queries=24, seed=11)
-        for query in wl.queries:
-            fast = radius_query(wl.bvh, query, wl.radius)
-            slow = radius_query_scalar(wl.bvh, query, wl.radius)
-            assert fast.hits == slow.hits
-            assert fast.visits == slow.visits

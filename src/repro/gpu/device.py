@@ -39,13 +39,41 @@ class KernelStats:
         self._simt_issues = 0
         self._simt_active = 0.0
         self.mem_sectors = 0
-        self.accel_stats: Dict[str, Any] = {}
         self.memory: Dict[str, float] = {}
         self.l1_hit_rate = 0.0
         self.notes: Dict[str, Any] = {}
-        #: repro.obs metrics snapshot, filled after the launch; the
-        #: shared empty placeholder until then.
-        self.metrics = EMPTY_METRICS
+        # ``accel_stats`` (the merged accelerator snapshots) and
+        # ``metrics`` (the repro.obs snapshot) are computed on first
+        # read by ``_finish``, which GPU.launch sets; see __getattr__.
+        self._finish: Optional[Callable[["KernelStats"], None]] = None
+
+    # -- stats computed on first read --------------------------------------------
+    def __getattr__(self, name: str):
+        # Only reached for attributes missing from the instance, so once
+        # computed, ``accel_stats`` and ``metrics`` are plain attributes
+        # (as in cache entries pickled before they were computed lazily).
+        if name not in ("accel_stats", "metrics"):
+            raise AttributeError(name)
+        self._materialize()
+        return self.__dict__[name]
+
+    def _materialize(self) -> None:
+        """Compute ``accel_stats`` and ``metrics`` and drop the closure
+        (with it the launch's simulator, SMs and memory hierarchy)."""
+        # Dropped only after it ran: a concurrent first read runs the
+        # (idempotent) closure again rather than seeing the defaults.
+        finish = self.__dict__.get("_finish")
+        if finish is not None:
+            finish(self)
+            self.__dict__.pop("_finish", None)
+        # Defaults: a bare KernelStats, or an entry pickled before the
+        # metrics registry existed.
+        self.__dict__.setdefault("accel_stats", {})
+        self.__dict__.setdefault("metrics", EMPTY_METRICS)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        self._materialize()
+        return self.__dict__
 
     # -- recording hooks used by SM -------------------------------------------
     def count_compute(self, kind: str, n: int, active: int, warp_size: int):
@@ -98,7 +126,9 @@ class GPU:
 
     ``accelerator_factory(sm) -> accelerator`` attaches an RTA/TTA/TTA+
     model to every SM; kernels reach it by yielding
-    :class:`~repro.gpu.isa.AccelCall` ops.
+    :class:`~repro.gpu.isa.AccelCall` ops.  A launch builds only the
+    SMs its warps land on; ``KernelStats.accel_stats`` and ``.metrics``
+    build the idle rest on first read.
     """
 
     def __init__(self, config: GPUConfig = DEFAULT_CONFIG,
@@ -153,10 +183,13 @@ class GPU:
             # First-class DRAM bandwidth series (Fig. 13's substrate).
             hierarchy.dram.series = TimeSeries()
         stats = KernelStats()
-        sms: List[SM] = [
-            SM(sim, i, cfg, hierarchy, stats, self.accelerator_factory)
-            for i in range(cfg.n_sms)
-        ]
+        factory = self.accelerator_factory
+        n_warps = math.ceil(n_threads / cfg.warp_size)
+        # Warps go round-robin, so SMs 0 .. n_warps-1 get all of them.
+        # The idle rest are built only when a read of the stats needs
+        # their snapshots (``finish`` below).
+        sms: List[SM] = [SM(sim, i, cfg, hierarchy, stats, factory)
+                         for i in range(min(n_warps, cfg.n_sms))]
 
         # Value-independent kernels over a workload that carries a stream
         # cache are replayed from recorded warp traces (see gpu/replay.py);
@@ -165,7 +198,6 @@ class GPU:
         stream_cache = (getattr(args, "stream_cache", None)
                         if getattr(kernel, "value_independent", False)
                         else None)
-        n_warps = math.ceil(n_threads / cfg.warp_size)
         for warp_id in range(n_warps):
             first = warp_id * cfg.warp_size
             thread_ids = range(first, min(first + cfg.warp_size, n_threads))
@@ -188,19 +220,33 @@ class GPU:
         if guard is not None:
             guard.finalize()
 
-        stats.cycles = sim.now
-        stats.memory = hierarchy.stats(sim.now)
+        end = sim.now
+        stats.cycles = end
+        stats.memory = hierarchy.stats(end)
         l1_acc = sum(sm.l1.accesses for sm in sms)
         l1_hits = sum(sm.l1.hits for sm in sms)
         stats.l1_hit_rate = l1_hits / l1_acc if l1_acc else 0.0
-        accels = [sm.accelerator for sm in sms if sm.accelerator is not None]
-        if accels:
-            stats.accel_stats = self._merge_accel_stats(accels, sim.now)
         stats.notes["n_threads"] = n_threads
         stats.notes["n_warps"] = n_warps
-        stats.metrics = build_metrics(stats, sms, hierarchy, sim.now, tracer)
+
+        def finish(stats: KernelStats) -> None:
+            # The idle SMs, built now on the same simulator and
+            # hierarchy, snapshot exactly as if built at launch: nothing
+            # ran on them, so per-SM means and merged rates are unchanged.
+            every_sm = sms + [SM(sim, i, cfg, hierarchy, stats, factory)
+                              for i in range(len(sms), cfg.n_sms)]
+            accels = [sm.accelerator for sm in every_sm
+                      if sm.accelerator is not None]
+            stats.accel_stats = (GPU._merge_accel_stats(accels, end)
+                                 if accels else {})
+            stats.metrics = build_metrics(stats, every_sm, hierarchy, end,
+                                          tracer)
+
+        stats._finish = finish
         if tracer is not None:
-            tracer.end_launch(sim.now)
+            # The tracer's events after this launch are not its own.
+            stats._materialize()
+            tracer.end_launch(end)
         if launch_key is not None:
             record_launch(launch_cache, launch_key, args, stats)
         return stats
@@ -247,9 +293,13 @@ class GPU:
         for key in list(merged):
             if key.endswith("_avg") or key.endswith("_util") or \
                     key.endswith("_mean"):
-                # Rate-like metrics: average over the accelerators that
-                # actually reported them (idle accelerators would skew
-                # the mean toward zero).
+                # Rate-like metrics: the mean over the accelerators that
+                # report the key.  Every core reports its unit, memory
+                # and warp-buffer keys, idle or not, so those are means
+                # over all SMs: a memsched_util of 0.003 on the one busy
+                # core of 8 merges to 0.0004.  Only keys a core creates
+                # when it runs (a TTA+ test program's latency mean)
+                # average over the cores that ran it.
                 merged[key] /= contributors[key]
         merged["per_accel"] = per_accel
         return merged

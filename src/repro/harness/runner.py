@@ -34,7 +34,6 @@ from repro.kernels.radius_search import (
     radius_baseline_kernel,
 )
 from repro.kernels.ray_trace import rt_accel_kernel, rt_baseline_kernel
-from repro.obs import EMPTY_METRICS
 from repro.rta.rta import make_rta_factory
 from repro.workloads.btree_workload import BTreeWorkload, verify_results
 from repro.workloads.lumibench import LumiWorkload
@@ -67,13 +66,9 @@ class RunResult:
 
     @property
     def metrics(self):
-        """The launch's :class:`repro.obs.MetricsSnapshot`.
-
-        Results unpickled from a cache entry written before the metrics
-        registry existed fall back to the shared empty snapshot.
-        """
-        snapshot = getattr(self.stats, "metrics", None)
-        return snapshot if snapshot is not None else EMPTY_METRICS
+        """The launch's :class:`repro.obs.MetricsSnapshot` (the shared
+        empty one for cache entries older than the metrics registry)."""
+        return self.stats.metrics
 
     def metric(self, name: str, default: float = 0.0) -> float:
         """One scalar from the metrics registry (``repro.obs``)."""

@@ -7,9 +7,9 @@ The observability subsystem has three parts:
   ``sim.tracer``; the engine, SMs, RTA cores/unit pools, and the memory
   hierarchy emit ring-buffered ``(category, unit, name, ts, dur, arg)``
   records behind one is-None branch each.
-* :mod:`repro.obs.metrics` — the metrics registry.  After every launch
-  :func:`build_metrics` folds model counters into a namespaced
-  :class:`MetricsSnapshot` on ``KernelStats.metrics``; Figs. 13/15/18
+* :mod:`repro.obs.metrics` — the metrics registry.  On the first read
+  of a launch's ``KernelStats.metrics``, :func:`build_metrics` folds
+  model counters into a namespaced :class:`MetricsSnapshot`; Figs. 13/15/18
   read it instead of parsing accelerator snapshot keys.
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace.json``, flat
   metrics JSON, terminal summaries, and ``$REPRO_OBS_DIR`` guard

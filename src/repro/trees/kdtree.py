@@ -257,8 +257,13 @@ class KDTree:
         # tombstones existed; the empty tuple keeps the unmutated path
         # identical to the historical full scan.
         dead = getattr(self, "_deleted", None) or ()
-        scored = sorted(
-            ((p - query).length_squared(), i)
-            for i, p in enumerate(self.points) if i not in dead
-        )
-        return tuple(i for _d, i in scored[:k])
+        qx, qy, qz = query.x, query.y, query.z
+        scored = []
+        for i, p in enumerate(self.points):
+            if i not in dead:
+                # (p - query).length_squared(), without the Vec3.
+                dx = p.x - qx
+                dy = p.y - qy
+                dz = p.z - qz
+                scored.append((dx * dx + dy * dy + dz * dz, i))
+        return tuple(i for _d, i in heapq.nsmallest(k, scored))

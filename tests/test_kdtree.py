@@ -145,3 +145,25 @@ def test_property_knn_equals_brute_force(n, k, seed):
     got_d = sorted((pts[i] - q).length_squared() for i in got)
     exp_d = sorted((pts[i] - q).length_squared() for i in expected)
     assert got_d == pytest.approx(exp_d)
+
+
+def test_brute_force_knn_matches_sorted_vec3_reference():
+    """The oracle scores points without building Vec3s; it must equal
+    the sorted ``(p - q).length_squared()`` scan it replaced, ties
+    included: duplicate points give exact distance ties, broken by id."""
+    base = random_points(40, seed=11)
+    pts = base + base[:10] + [base[3]] * 3
+    tree = KDTree(pts, max_leaf_size=4)
+    for pid in (0, 7, 12, 41, 50):
+        tree.delete_point(pid)
+    tree.insert_point(base[3])
+    dead = tree._deleted
+
+    def reference(q, k):
+        scored = sorted(((p - q).length_squared(), i)
+                        for i, p in enumerate(tree.points) if i not in dead)
+        return tuple(i for _d, i in scored[:k])
+
+    for q in (base[3], base[20], Vec3(0.0, 0.0, 0.0)):
+        for k in range(1, tree.n_live + 1):
+            assert tree.brute_force_knn(q, k) == reference(q, k)

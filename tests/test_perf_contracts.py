@@ -1,6 +1,6 @@
 """Performance contracts of the batched hot paths.
 
-Three families:
+Four families:
 
 * **Model fingerprints** — geometry/rta source edits must flip both the
   exec-cache scheduler fingerprint and the build fingerprint, so stale
@@ -13,22 +13,33 @@ Three families:
   wherever a launch is not a pure function of its arguments (armed
   faults, a non-default guard configuration), and for launches on the
   heap-engine oracle.
+* **Pay per launch for what it uses** — a launch builds only the SMs
+  its warps land on, and ``accel_stats``/``metrics`` are computed (and
+  the idle SMs built) on first read.  Frozen fingerprints from the
+  eager code pin that the lazy stats are unchanged.
 """
 
 import gc
+import hashlib
+import json
 import os
 import pathlib
+import pickle
 import shutil
 import tracemalloc
 
 import pytest
 
+from repro import obs
+from repro.core.ttaplus.ttaplus import make_ttaplus_factory
 from repro.exec.cache import build_fingerprint
-from repro.gpu import GPUConfig
+from repro.gpu import GPU, GPUConfig
 from repro.gpu.device import KernelStats
 from repro.gpu.replay import launch_replay_enabled
 from repro.gpu.sm import SM
-from repro.harness.runner import run_btree, run_rtnn
+from repro.harness.runner import run_btree, run_rtnn, scaled_config_for
+from repro.kernels.radius_search import (radius_accel_kernel,
+                                         radius_baseline_kernel)
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.rta import Step, TraversalJob
 from repro.rta.rta import make_rta_factory
@@ -228,3 +239,151 @@ class TestLaunchReplay:
         monkeypatch.delenv("REPRO_GUARD_MAX_CYCLES")
         monkeypatch.setenv("REPRO_GUARD", "strict")
         assert not launch_replay_enabled()
+
+
+# -- per-launch construction and stats on first read ----------------------------
+#: sha256 of (accel_stats, metrics.as_dict()) for RTNN radius launches of
+#: 1, 3 and 9 warps, frozen from the code that built all 8 SMs and
+#: merged every stat eagerly.  Idle cores report zeros for their unit,
+#: memory and warp-buffer rates, which the merged means keep.
+_FROZEN_STATS = {
+    ("gpu", 1): (
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+        "165d3fb3ef6e4af571cc14bcd97c3ec963ba839d8c9093546fa89992814152f3"),
+    ("gpu", 3): (
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+        "48d1de1731e22d18b2203c060f07bd958a309ccabb2154b7083a5900524252ab"),
+    ("gpu", 9): (
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+        "1e488f7dc4fba38a21485424e5a43b0a008e3a8b150b4b50e7b34e5ab577501f"),
+    ("rta", 1): (
+        "51672d10bee78c22f5a39acb65b252d8de4748487fb834b0e165ddc57c35f127",
+        "bd3343272715cf0a671e5e413f3cbc9fc8a6cd437cc4f6d4aceeb3fcf07b8ca1"),
+    ("rta", 3): (
+        "a0b8ce63f89606492922fbcbad1ccc3935f796f661f2743eaf6803ecc1ee91dd",
+        "b8782aab78c71d792998dc3c5fa598624cc8203bd67b6cc08d5dc3c90d0a3948"),
+    ("rta", 9): (
+        "f27d91d8e8ed135880fdf4e11a5984efee11e7aae7087aea2b5727e6baa02ced",
+        "259ad36bee621d29cd831d97921c2667515378babf6b2cd35c12cad77b18a92a"),
+    ("tta", 1): (
+        "e704ab171d6b5be963b77c325f3c4ef75254e388ca0aa80188464c11bfbae527",
+        "7f16dea3792b985ad878bf5b12b6476256d3a72cfeedd93719d8a908ce57eb13"),
+    ("tta", 3): (
+        "42df8261f704d3bc39f8fa6b57200e1e588c9c2039c90ea1f142ccb1a8b7aa0d",
+        "8fb3484bd4b44acf59482e6da913da7ab3e457883d012f733df80d2547b88391"),
+    ("tta", 9): (
+        "d745c500348101ef145d4c5ef3b9e95ca87dc978ca622141cc803cfdb145a90e",
+        "a34eb69a196e9a53eefd1bf7970d8d1e2ce758058f5e2d3c42675226e6718b80"),
+    ("ttaplus", 1): (
+        "e9fe9257537572b24a8f7429f40c99b03d86670fb085a6535b0b989c902910e9",
+        "acc82515ed4ae722d296460f498106b8e94ce4070128f5b84769da7d3a697fec"),
+    ("ttaplus", 3): (
+        "fc0a93238f327b78df645e22fa14d9c95d3e4c1d4496276eba845442b0f85ece",
+        "e741f09214698f5fe8c179fc1cc5924a4e5fe59dec65dec4950edb08e7474619"),
+    ("ttaplus", 9): (
+        "fd4c4a4e19e57e2f936ab0eecbdc25e19ce1d8718609964dc569a3d51c42c072",
+        "dbf94b0656569b02002c6fa104f5be1d3fc94cd05213012fa1f5998e0ede2e39"),
+}
+
+_FACTORIES = {"rta": lambda: make_rta_factory(tta=False),
+              "tta": lambda: make_rta_factory(tta=True),
+              "ttaplus": make_ttaplus_factory}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _radius_launch(platform, n_warps, factory=None):
+    """One unread launch; ``max_events`` keeps launch replay (which
+    pickles, and so reads, the stats) out of the way."""
+    wl = make_rtnn_workload(n_points=256, n_queries=32 * n_warps, seed=5)
+    config = scaled_config_for(wl.image.size_bytes)
+    if platform == "gpu":
+        gpu, kernel, args = GPU(config), radius_baseline_kernel, \
+            wl.kernel_args()
+    else:
+        factory = factory or _FACTORIES[platform]()
+        gpu = GPU(config, accelerator_factory=factory)
+        kernel = radius_accel_kernel
+        args = wl.kernel_args(jobs=wl.jobs(platform))
+    return gpu.launch(kernel, wl.n_queries, args=args, max_events=10**9)
+
+
+class TestStatsOnFirstRead:
+    @pytest.mark.parametrize("platform,n_warps", sorted(_FROZEN_STATS))
+    def test_lazy_stats_match_eager_fingerprints(self, platform, n_warps):
+        stats = _radius_launch(platform, n_warps)
+        assert "accel_stats" not in vars(stats)  # really the lazy path
+        assert (_digest(stats.accel_stats),
+                _digest(stats.metrics.as_dict())) == \
+            _FROZEN_STATS[(platform, n_warps)]
+
+    @pytest.mark.parametrize("platform", ["gpu", "ttaplus"])
+    def test_pickled_unread_stats_equal_read_ones(self, platform):
+        read = _radius_launch(platform, 3)
+        expected = (read.accel_stats, read.metrics.as_dict())
+        unread = _radius_launch(platform, 3)
+        loaded = pickle.loads(pickle.dumps(unread))
+        # Loaded entries carry plain attributes and no closure, the
+        # layout of entries written before stats were computed lazily.
+        assert "_finish" not in vars(loaded)
+        assert {"accel_stats", "metrics"} <= set(vars(loaded))
+        assert (loaded.accel_stats, loaded.metrics.as_dict()) == expected
+
+    def test_bare_and_old_stats_read_defaults(self):
+        stats = KernelStats()
+        assert stats.accel_stats == {}
+        assert not stats.metrics
+        with pytest.raises(AttributeError):
+            stats.no_such_attribute
+        # An entry pickled before the metrics registry existed: plain
+        # ``accel_stats``, no ``metrics``, no closure.
+        old = KernelStats.__new__(KernelStats)
+        old.__dict__.update(cycles=7.0, accel_stats={"jobs_completed": 3})
+        old = pickle.loads(pickle.dumps(old))
+        assert old.accel_stats == {"jobs_completed": 3}
+        assert not old.metrics
+
+
+class TestLaunchConstruction:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts of SMs and accelerators built so far."""
+        counts = {"sms": 0, "accels": 0}
+        sm_init = SM.__init__
+
+        def counting_init(sm, *args, **kwargs):
+            counts["sms"] += 1
+            sm_init(sm, *args, **kwargs)
+
+        monkeypatch.setattr(SM, "__init__", counting_init)
+        base = make_rta_factory(tta=True)
+
+        def factory(sm):
+            counts["accels"] += 1
+            return base(sm)
+
+        counts["factory"] = factory
+        return counts
+
+    def test_one_warp_builds_one_sm_then_the_rest_on_first_read(self,
+                                                                built):
+        stats = _radius_launch("tta", 1, factory=built["factory"])
+        assert (built["sms"], built["accels"]) == (1, 1)
+        stats.accel_stats
+        assert (built["sms"], built["accels"]) == (8, 8)
+        stats.accel_stats
+        stats.metrics
+        assert (built["sms"], built["accels"]) == (8, 8)
+
+    def test_traced_launch_returns_with_every_sm_built(self, built):
+        # A traced launch computes its stats before it ends the tracer's
+        # launch, so the idle SMs exist by the time it returns.
+        obs.enable()
+        try:
+            _radius_launch("tta", 1, factory=built["factory"])
+        finally:
+            obs.reset()
+        assert (built["sms"], built["accels"]) == (8, 8)
